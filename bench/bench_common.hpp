@@ -3,6 +3,7 @@
 // substrate at the current AERO_BENCH_SCALE, runs the standard
 // generate-and-score protocol, and prints paper-style tables.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -150,6 +151,18 @@ inline std::string output_dir(const std::string& name) {
 
 inline std::string fmt(double v, int decimals = 2) {
     return util::format_fixed(v, decimals);
+}
+
+/// The p-th quantile (p in [0, 1]) of `values`, linearly interpolated
+/// between the two nearest ranks; 0 for an empty sample.
+inline double percentile(std::vector<double> values, double p) {
+    if (values.empty()) return 0.0;
+    std::sort(values.begin(), values.end());
+    const double rank = p * static_cast<double>(values.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
 /// Directory bench result JSON lands in: AERO_RESULTS_DIR when set,

@@ -23,16 +23,6 @@ namespace {
 
 using namespace aero;
 
-double percentile(std::vector<double> values, double p) {
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const double rank = p * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 struct RunReport {
     std::vector<image::Image> images;  ///< by request index
     std::vector<double> latencies;
@@ -143,22 +133,23 @@ int main() {
                 ? batched.throughput() / sequential.throughput()
                 : 0.0;
         if (streams == 16) speedup_at_16 = speedup;
+        const double sequential_p99 =
+            bench::percentile(sequential.latencies, 0.99);
+        const double batched_p99 = bench::percentile(batched.latencies, 0.99);
         rows.push_back({std::to_string(streams),
                         bench::fmt(sequential.throughput(), 2),
-                        bench::fmt(percentile(sequential.latencies, 0.99), 1),
+                        bench::fmt(sequential_p99, 1),
                         bench::fmt(batched.throughput(), 2),
-                        bench::fmt(percentile(batched.latencies, 0.99), 1),
+                        bench::fmt(batched_p99, 1),
                         bench::fmt(speedup, 2) + "x"});
 
         util::JsonValue entry = util::JsonValue::object();
         entry.set("requests", util::JsonValue(static_cast<double>(requests)));
         entry.set("sequential_per_s",
                   util::JsonValue(sequential.throughput()));
-        entry.set("sequential_p99_ms",
-                  util::JsonValue(percentile(sequential.latencies, 0.99)));
+        entry.set("sequential_p99_ms", util::JsonValue(sequential_p99));
         entry.set("batched_per_s", util::JsonValue(batched.throughput()));
-        entry.set("batched_p99_ms",
-                  util::JsonValue(percentile(batched.latencies, 0.99)));
+        entry.set("batched_p99_ms", util::JsonValue(batched_p99));
         entry.set("speedup", util::JsonValue(speedup));
         results.set(std::to_string(streams) + "_streams", entry);
     }

@@ -35,16 +35,6 @@ constexpr double kMaxOverheadFraction = 0.05;
 /// Absolute slack (ms) under which a delta is treated as timer noise.
 constexpr double kAbsoluteSlackMs = 2.0;
 
-double percentile(std::vector<double> values, double p) {
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const double rank = p * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 image::Image run_generate(const core::AeroDiffusionPipeline& pipeline,
                           const bench::Harness& harness, std::uint64_t seed) {
     const scene::AerialSample& sample = harness.dataset->test()[0];
@@ -84,7 +74,8 @@ std::pair<double, double> serve_latencies(
         latencies.push_back(future.get().latency_ms);
     }
     service.stop();
-    return {percentile(latencies, 0.50), percentile(latencies, 0.99)};
+    return {bench::percentile(latencies, 0.50),
+            bench::percentile(latencies, 0.99)};
 }
 
 }  // namespace

@@ -21,16 +21,6 @@ namespace {
 
 using namespace aero;
 
-double percentile(std::vector<double> values, double p) {
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const double rank = p * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 struct RunReport {
     serve::ServiceStats stats;
     std::vector<double> latencies;
@@ -125,7 +115,7 @@ int main() {
     const RunReport capacity =
         run_at(harness, pipeline, capacity_config, requests, 0.0);
     const double capacity_goodput = capacity.goodput();
-    const double clean_p99 = percentile(capacity.latencies, 0.99);
+    const double clean_p99 = bench::percentile(capacity.latencies, 0.99);
     std::printf("capacity: %.1f good/s (p99 %.1f ms under full burst)\n",
                 capacity_goodput, clean_p99);
 
@@ -138,7 +128,7 @@ int main() {
     sweep.queue_capacity = 8;
     sweep.overload.enabled = true;
     sweep.overload.latency_target_ms =
-        std::max(5.0, 1.5 * percentile(capacity.latencies, 0.50));
+        std::max(5.0, 1.5 * bench::percentile(capacity.latencies, 0.50));
     sweep.overload.codel_target_ms = 0.5 * sweep.overload.latency_target_ms;
     sweep.overload.max_limit = base.workers;
     const int sweep_requests = 2 * requests;
@@ -162,8 +152,8 @@ int main() {
         rows.push_back(
             {bench::fmt(mult, 0) + "x", bench::fmt(offered, 1),
              bench::fmt(report.goodput(), 1),
-             bench::fmt(percentile(report.latencies, 0.50), 1),
-             bench::fmt(percentile(report.latencies, 0.99), 1),
+             bench::fmt(bench::percentile(report.latencies, 0.50), 1),
+             bench::fmt(bench::percentile(report.latencies, 0.99), 1),
              rate(stats.outcome(serve::Outcome::kShed), total),
              rate(degraded_rungs, total),
              std::to_string(stats.codel_dropped)});
@@ -172,9 +162,9 @@ int main() {
         entry.set("offered_per_s", util::JsonValue(offered));
         entry.set("goodput_per_s", util::JsonValue(report.goodput()));
         entry.set("p50_ms",
-                  util::JsonValue(percentile(report.latencies, 0.50)));
+                  util::JsonValue(bench::percentile(report.latencies, 0.50)));
         entry.set("p99_ms",
-                  util::JsonValue(percentile(report.latencies, 0.99)));
+                  util::JsonValue(bench::percentile(report.latencies, 0.99)));
         entry.set("shed", util::JsonValue(static_cast<double>(
                               stats.outcome(serve::Outcome::kShed))));
         entry.set("codel_dropped", util::JsonValue(static_cast<double>(

@@ -101,16 +101,6 @@ struct ServePoint {
     double p99_ms = 0.0;
 };
 
-double percentile(std::vector<double> values, double p) {
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const double rank = p * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    return values[lo] + (values[hi] - values[lo]) *
-                            (rank - static_cast<double>(lo));
-}
-
 ServePoint run_serve(const bench::Harness& harness,
                      const core::AeroDiffusionPipeline& pipeline,
                      int requests) {
@@ -139,7 +129,8 @@ ServePoint run_serve(const bench::Harness& harness,
         latencies.push_back(future.get().latency_ms);
     }
     service.stop();
-    return {percentile(latencies, 0.50), percentile(latencies, 0.99)};
+    return {bench::percentile(latencies, 0.50),
+            bench::percentile(latencies, 0.99)};
 }
 
 }  // namespace

@@ -20,16 +20,6 @@ namespace {
 
 using namespace aero;
 
-double percentile(std::vector<double> values, double p) {
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const double rank = p * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
 struct Scenario {
     std::string name;
     serve::ServiceConfig config;
@@ -150,8 +140,8 @@ int main() {
         const ScenarioReport report =
             run_scenario(harness, pipeline, scenario, requests);
         const serve::ServiceStats& stats = report.stats;
-        const double p50 = percentile(report.latencies, 0.50);
-        const double p99 = percentile(report.latencies, 0.99);
+        const double p50 = bench::percentile(report.latencies, 0.50);
+        const double p99 = bench::percentile(report.latencies, 0.99);
         rows.push_back(
             {scenario.name, bench::fmt(p50, 1), bench::fmt(p99, 1),
              rate(stats.outcome(serve::Outcome::kShed), report.total),

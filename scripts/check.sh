@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full gate: tier-1, one sanitizer pass, and static analysis.
+# Full gate: tier-1, one sanitizer pass, the benchmark selftest, and
+# static analysis.
 #
 #   1. Plain Release build, full ctest suite        (build-check/)
 #   2. Sanitizer build, full ctest suite            (build-san-*/)
@@ -9,13 +10,16 @@
 #      obs/serve suites (TSan cannot be combined with ASan, hence two
 #      builds). Set AERO_CHECK_SANITIZE=thread to race-check the full
 #      concurrency-heavy suite list instead.
-#   3. scripts/analyze.sh                           (build-analyze/)
+#   3. python3 perfbench/selftest.py                (.bench_build/)
+#      Short untraced + traced run of every BENCHMARK.json workload,
+#      checking the result line and the AERO_* refusal.
+#   4. scripts/analyze.sh                           (build-analyze/)
 #      Strict -Werror build, clang-tidy when available, aero_lint.
 #      The analyze build dir is cached across runs, so repeat
 #      invocations only pay for incremental compilation.
 #
 # Usage: scripts/check.sh [extra ctest args...]
-#   Set AERO_CHECK_ANALYZE=0 to skip stage 3 (e.g. in a sanitizer-only
+#   Set AERO_CHECK_ANALYZE=0 to skip stage 4 (e.g. in a sanitizer-only
 #   sweep where another job runs the analysis).
 
 set -euo pipefail
@@ -40,10 +44,8 @@ if [ "${SANITIZE}" = "thread" ]; then
     # (DESIGN.md §11) from kernels up through full DDIM sampling;
     # test_obs races metric writers, span recording and live dumps
     # against the fault-injected service (DESIGN.md §12);
-    # test_router races dispatchers, hedges and the replica-lifecycle
-    # supervisor through crash/restart chaos (DESIGN.md §13);
     # test_overload races the admission controller, priority queues and
-    # the overload_spike/replica_slow chaos soak (DESIGN.md §14);
+    # the overload_spike chaos soak (DESIGN.md §14);
     # test_sync races the runtime lock-order validator and pins its
     # consistent-order path TSan-clean (DESIGN.md §15);
     # test_batch races worker threads against the continuous step
@@ -53,7 +55,7 @@ if [ "${SANITIZE}" = "thread" ]; then
     # multiple threads and the condition cache through the threaded
     # serve stack (DESIGN.md §17).
     (cd "${SAN_DIR}" && ctest --output-on-failure -j "${JOBS}" \
-        -R 'test_serve|test_batch|test_router|test_overload|test_util|test_parallel|test_diffusion|test_obs|test_sync|test_mem' \
+        -R 'test_serve|test_batch|test_overload|test_util|test_parallel|test_diffusion|test_obs|test_sync|test_mem' \
         "$@")
 else
     (cd "${SAN_DIR}" && ctest --output-on-failure -j "${JOBS}" "$@")
@@ -64,7 +66,7 @@ else
     cmake -B build-san-thread -S . -DAERO_SANITIZE=thread >/dev/null
     cmake --build build-san-thread -j "${JOBS}"
     (cd build-san-thread && ctest --output-on-failure -j "${JOBS}" \
-        -R 'test_obs|test_serve|test_batch|test_router|test_overload|test_sync|test_mem' "$@")
+        -R 'test_obs|test_serve|test_batch|test_overload|test_sync|test_mem' "$@")
 fi
 
 # Opt-in bench gates (AERO_CHECK_BENCH=1): self-gating benches whose
@@ -82,6 +84,17 @@ if [ "${AERO_CHECK_BENCH:-0}" != "0" ]; then
     ./build-check/bench/bench_continuous_batch
     ./build-check/bench/bench_mem
 fi
+
+echo "== benchmark selftest =="
+# perfbench refuses to run with any AERO_* variable set (the workloads
+# pin their own settings), so the selftest runs with all of them unset,
+# including this script's own AERO_CHECK_* knobs.
+(
+    for var in $(compgen -e); do
+        case "${var}" in AERO_*) unset "${var}" ;; esac
+    done
+    python3 perfbench/selftest.py
+)
 
 if [ "${AERO_CHECK_ANALYZE:-1}" != "0" ]; then
     echo "== static analysis =="

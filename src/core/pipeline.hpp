@@ -244,10 +244,9 @@ private:
                          GenerateControl* control) const;
 
     /// Cache identity of a condition span: canonical captions
-    /// (util::canonical_prompt — the same canonicalisation the serve
-    /// router shards on) + a content hash of the reference scene
-    /// (pixels, ground-truth boxes) + the sample index feeding
-    /// variant-specific extra tokens.
+    /// (util::append_canonical_prompt) + a content hash of the
+    /// reference scene (pixels, ground-truth boxes) + the sample index
+    /// feeding variant-specific extra tokens.
     std::string condition_cache_key(const scene::AerialSample& reference,
                                     const std::string& source_caption,
                                     const std::string& target_caption,

@@ -4,7 +4,7 @@
 // replay a small set of canonical prompts; the condition stage (CLIP /
 // BLIP fusion / ROI features / encoder forward) is identical for
 // identical inputs, so the pipeline caches the final encoded condition
-// tensor keyed by the canonical prompt key + scene parameters.
+// tensor keyed by the canonical captions + scene parameters.
 //
 // Contracts:
 //  - Bitwise neutrality. Only deterministic, finite, non-degraded
@@ -52,7 +52,7 @@ void set_cond_cache_enabled(bool on);  ///< test hook
 namespace detail {
 
 /// Process-wide counters behind cache_stats(); bumped by every
-/// instance so serve replicas sharing one pipeline aggregate naturally.
+/// instance, so all pipelines in a process aggregate into one view.
 struct CacheCounters {
     std::atomic<long long> hits{0};
     std::atomic<long long> misses{0};

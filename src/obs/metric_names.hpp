@@ -42,28 +42,6 @@ inline constexpr MetricName kMetricNames[] = {
      "circuit breaker state (0 closed, 1 open, 2 half-open)"},
     {"aero_serve_breaker_trips", "cumulative breaker trips"},
     {"aero_serve_breaker_recoveries", "cumulative breaker recoveries"},
-    // serve::Router (multi-replica sharded front-end)
-    {"aero_router_submitted_total", "requests accepted by Router::submit()"},
-    {"aero_router_failovers_total",
-     "requests re-routed to another replica after a replica-side failure"},
-    {"aero_router_hedges_total",
-     "hedged second dispatches (primary past the p99-derived threshold)"},
-    {"aero_router_hedge_wins_total",
-     "hedged dispatches that finished before the primary"},
-    {"aero_router_probes_total", "synthetic health probes sent to replicas"},
-    {"aero_router_probe_failures_total",
-     "synthetic health probes that failed or timed out"},
-    {"aero_router_crashes_total",
-     "replica kill events (injected crashes and health escalations)"},
-    {"aero_router_restarts_total", "supervised replica restarts completed"},
-    {"aero_router_healthy_replicas", "replicas currently Healthy"},
-    {"aero_router_suspect_replicas", "replicas currently Suspect"},
-    {"aero_router_down_replicas",
-     "replicas currently Down or Restarting (no traffic)"},
-    {"aero_router_warming_replicas",
-     "replicas currently Warming (capped traffic after restart)"},
-    {"aero_router_decision_ms",
-     "routing overhead per dispatch: replica choice + hand-off"},
     // serve::AdmissionController (adaptive overload control)
     {"aero_overload_limit", "adaptive AIMD concurrency limit"},
     {"aero_overload_load_index",

@@ -41,8 +41,7 @@ enum class DegradeRung {
 inline constexpr int kNumDegradeRungs = 5;
 const char* degrade_rung_name(DegradeRung rung);
 
-/// Caller-supplied scheduling envelope, carried inside the request so
-/// the Router forwards it to replicas untouched.
+/// Caller-supplied scheduling envelope, carried inside the request.
 struct SubmitOptions {
     Priority priority = Priority::kInteractive;
     /// Optional stable client identity for the per-client token-bucket
@@ -116,14 +115,6 @@ struct RequestResult {
     /// folded from the obs::Trace the worker wrapped this request in.
     /// Empty when AERO_OBS=0.
     obs::SpanSummary spans;
-    /// Filled by serve::Router: which replica produced the terminal
-    /// outcome (-1 when the request never reached one), how many times
-    /// the router re-routed it after replica-side failures, and whether
-    /// a hedged second dispatch was launched. A plain InferenceService
-    /// leaves all three at their defaults.
-    int replica = -1;
-    int reroutes = 0;
-    bool hedged = false;
 };
 
 }  // namespace aero::serve

@@ -185,7 +185,7 @@ std::future<RequestResult> InferenceService::submit(InferenceRequest request) {
     bool enqueued = false;
     {
         const util::MutexLock lock(queue_mutex_);
-        if (accepting_ && queued_locked() < config_.queue_capacity) {
+        if (!stopping_ && queued_locked() < config_.queue_capacity) {
             queues_[static_cast<int>(job.request.options.priority)]
                 .push_back(std::move(job));
             enqueued = true;
@@ -215,7 +215,6 @@ void InferenceService::stop() {
     const util::MutexLock stop_lock(stop_mutex_);
     {
         const util::MutexLock lock(queue_mutex_);
-        accepting_ = false;
         stopping_ = true;
     }
     queue_cv_.notify_all();
@@ -244,119 +243,6 @@ ServiceStats InferenceService::stats() const {
     snapshot.breaker_trips = breaker_.trips();
     snapshot.breaker_recoveries = breaker_.recoveries();
     return snapshot;
-}
-
-std::size_t InferenceService::queue_depth() const {
-    const util::MutexLock lock(queue_mutex_);
-    return queued_locked() + static_cast<std::size_t>(active_);
-}
-
-bool InferenceService::accepting() const {
-    const util::MutexLock lock(queue_mutex_);
-    return accepting_;
-}
-
-void InferenceService::wait_idle(Clock::time_point deadline, bool bounded) {
-    std::unique_lock<util::Mutex> lock(queue_mutex_);
-    const auto idle = [this] { return queued_locked() == 0 && active_ == 0; };
-    if (bounded) {
-        queue_cv_.wait_until(lock, deadline, idle);
-    } else {
-        queue_cv_.wait(lock, idle);
-    }
-}
-
-InferenceService::DrainReport InferenceService::drain(double deadline_ms) {
-    // Serialised with stop() and concurrent drains behind stop_mutex_,
-    // so the shed/cancel phase classifies each pending request exactly
-    // once.
-    const util::MutexLock stop_lock(stop_mutex_);
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               std::max(0.0, deadline_ms)));
-    long long cancelled_before = 0;
-    {
-        const util::MutexLock lock(stats_mutex_);
-        cancelled_before = stats_.cancelled_mid_run;
-    }
-    long long pending = 0;
-    {
-        const util::MutexLock lock(queue_mutex_);
-        accepting_ = false;
-        draining_ = true;
-        pending = static_cast<long long>(queued_locked()) + active_;
-    }
-    DrainReport report;
-    if (pending == 0) {
-        const util::MutexLock lock(queue_mutex_);
-        draining_ = false;
-        return report;
-    }
-
-    // Phase 1: workers run normally until the deadline or the backlog
-    // clears.
-    wait_idle(deadline, /*bounded=*/true);
-
-    // Phase 2: arm the drain deadline — in-flight requests cancel at
-    // their next step boundary or before their first step — and shed
-    // whatever is still queued. A job a worker races out of the queue
-    // here resolves through the cancellation path instead; either way
-    // it terminates exactly once.
-    drain_deadline_ns_.store(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline.time_since_epoch())
-            .count(),
-        std::memory_order_relaxed);
-    std::deque<Job> leftovers;
-    {
-        const util::MutexLock lock(queue_mutex_);
-        for (std::deque<Job>& q : queues_) {
-            for (Job& job : q) leftovers.push_back(std::move(job));
-            q.clear();
-        }
-        metrics_.queue_depth->set(0.0);
-    }
-    const Clock::time_point shed_now = Clock::now();
-    for (Job& job : leftovers) {
-        RequestResult early;
-        // A leftover whose own deadline has passed timed out, it was
-        // not shed by the drain — the caller's budget expired first.
-        // Both classes count as resolved-unrun in report.shed.
-        if (job.has_deadline && shed_now >= job.deadline) {
-            early.outcome = Outcome::kTimeout;
-            early.message = "deadline expired while queued (drain)";
-        } else {
-            early.outcome = Outcome::kShed;
-            early.message = "shed during drain";
-        }
-        early.rung = job.rung;
-        early.latency_ms = std::chrono::duration<double, std::milli>(
-                               shed_now - job.submitted_at)
-                               .count();
-        early.queue_ms = early.latency_ms;
-        record(early);
-        job.promise.set_value(std::move(early));
-        ++report.shed;
-    }
-    queue_cv_.notify_all();
-
-    // Phase 3: wait for the in-flight requests to resolve — bounded in
-    // practice by one denoising step or one backoff sleep past the
-    // deadline.
-    wait_idle(deadline, /*bounded=*/false);
-    {
-        const util::MutexLock lock(queue_mutex_);
-        draining_ = false;
-    }
-    long long cancelled_after = 0;
-    {
-        const util::MutexLock lock(stats_mutex_);
-        cancelled_after = stats_.cancelled_mid_run;
-    }
-    report.cancelled = cancelled_after - cancelled_before;
-    report.completed = pending - report.shed - report.cancelled;
-    return report;
 }
 
 void InferenceService::record(const RequestResult& result) {
@@ -452,13 +338,11 @@ void InferenceService::worker_loop(std::uint64_t worker_seed) {
             dropped.latency_ms = sojourn_ms;
             record(dropped);
             job.promise.set_value(std::move(dropped));
-            bool wake = false;
             {
                 const util::MutexLock lock(queue_mutex_);
                 --active_;
-                wake = draining_ || controller_.enabled();
             }
-            if (wake) queue_cv_.notify_all();
+            if (controller_.enabled()) queue_cv_.notify_all();
             continue;
         }
         // One Trace per request: spans opened anywhere below (pipeline
@@ -502,17 +386,13 @@ void InferenceService::worker_loop(std::uint64_t worker_seed) {
         publish_breaker_metrics();
         record(result);
         job.promise.set_value(std::move(result));
-        // The in-flight count drops only after the promise resolved, so
-        // drain()'s idle wait implies every pending future is ready.
         // With overload control live, every finish may unblock a worker
         // parked on the limit gate, so those builds wake everyone.
-        bool wake_all = false;
         {
             const util::MutexLock lock(queue_mutex_);
             --active_;
-            wake_all = draining_ || controller_.enabled();
         }
-        if (wake_all) queue_cv_.notify_all();
+        if (controller_.enabled()) queue_cv_.notify_all();
     }
 }
 
@@ -526,25 +406,12 @@ bool InferenceService::backoff(int attempt, const Job& job,
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double, std::milli>(delay));
     if (job.has_deadline && wake >= job.deadline) return false;
-    const long long drain_ns =
-        drain_deadline_ns_.load(std::memory_order_relaxed);
-    if (std::chrono::duration_cast<std::chrono::nanoseconds>(
-            wake.time_since_epoch())
-            .count() >= drain_ns) {
-        return false;  // the sleep would outlive the drain deadline
-    }
     std::this_thread::sleep_until(wake);
     return true;
 }
 
 bool InferenceService::cancel_due(const Job& job) const {
-    const Clock::time_point now = Clock::now();
-    if (job.has_deadline && now >= job.deadline) return true;
-    const long long drain_ns =
-        drain_deadline_ns_.load(std::memory_order_relaxed);
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               now.time_since_epoch())
-               .count() >= drain_ns;
+    return job.has_deadline && Clock::now() >= job.deadline;
 }
 
 RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
@@ -580,12 +447,11 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
 
     for (int attempt = 1; attempt <= std::max(1, config_.max_attempts);
          ++attempt) {
-        // Dequeue -> first-step window: the job deadline (or a service
-        // drain) can expire after the pickup check above but before the
-        // sampler's first cancellation poll. Resolve it here, once,
-        // through the same cancelled-mid-run accounting as a
-        // between-steps cancellation — never as a lost or
-        // double-counted request.
+        // Dequeue -> first-step window: the job deadline can expire
+        // after the pickup check above but before the sampler's first
+        // cancellation poll. Resolve it here, once, through the same
+        // cancelled-mid-run accounting as a between-steps cancellation
+        // — never as a lost or double-counted request.
         if (cancel_due(job)) {
             result.cancelled = true;
             return finish(Outcome::kTimeout,
@@ -658,12 +524,11 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
         if (job.rung >= DegradeRung::kReducedResolution) {
             control.half_resolution = true;
         }
-        // Polled between denoising steps: covers the job's own deadline
-        // and a service-wide drain deadline (graceful replica restart /
-        // simulated crash). With the batcher live the poll runs on its
-        // driver thread; the job outlives the call (the worker blocks
-        // inside the pipeline) and the predicate only reads immutable
-        // job fields plus an atomic, so that is safe.
+        // Polled between denoising steps against the job's own
+        // deadline. With the batcher live the poll runs on the
+        // batcher's thread; the job outlives the call (the worker
+        // blocks inside the pipeline) and the predicate only reads
+        // immutable job fields, so that is safe.
         control.should_cancel = [this, job_ptr = &job] {
             return cancel_due(*job_ptr);
         };

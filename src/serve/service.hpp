@@ -26,8 +26,8 @@
 // Locking discipline (statically checked by the AERO_GUARDED_BY /
 // AERO_EXCLUDES annotations below under `clang++ -Wthread-safety`, and
 // TSan-covered by test_serve via scripts/check.sh):
-//   * queue_mutex_ guards queues_, active_, accepting_, stopping_ and
-//     draining_; sleeps and wake-ups go through queue_cv_.
+//   * queue_mutex_ guards queues_, active_ and stopping_; sleeps and
+//     wake-ups go through queue_cv_.
 //   * stats_mutex_ guards the ServiceStats counters.
 //   * stop_mutex_ serialises concurrent stop() callers (explicit stop
 //     racing the destructor) across the join/clear phase and guards
@@ -42,11 +42,9 @@
 //   these mutexes is held, and the breaker is only called with all of
 //   them released.
 
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <future>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -103,8 +101,8 @@ struct ServiceStats {
     long long submitted = 0;
     long long by_outcome[kNumOutcomes] = {};
     long long retries = 0;  ///< extra attempts across requests
-    /// Requests cancelled after dequeue: between denoising steps or in
-    /// the dequeue -> first-step window (job deadline or service drain).
+    /// Requests cancelled after dequeue by their deadline: between
+    /// denoising steps or in the dequeue -> first-step window.
     long long cancelled_mid_run = 0;
     /// Rejections by the per-client token-bucket limiter. These resolve
     /// kShed, so they are a subset of by_outcome[kShed] and the books
@@ -147,47 +145,13 @@ public:
     std::future<RequestResult> submit(InferenceRequest request)
         AERO_EXCLUDES(queue_mutex_, stats_mutex_);
 
-    /// Outcome of a bounded drain: every request that was pending when
-    /// drain() was called is classified exactly once. `cancelled`
-    /// counts step-boundary cancellations (deadline-cancel machinery);
-    /// a retry backoff cut short by the drain deadline resolves
-    /// kTimeout and counts under `completed` (it reached a terminal
-    /// outcome through the normal worker path).
-    struct DrainReport {
-        long long completed = 0;  ///< resolved by a worker during the drain
-        /// Queued jobs resolved unrun: kShed, or kTimeout when the
-        /// job's own deadline had already expired at shed time.
-        long long shed = 0;
-        long long cancelled = 0;  ///< in-flight, cancelled between steps
-        long long total() const { return completed + shed + cancelled; }
-    };
-
-    /// Graceful-bounded shutdown of the work, not the threads: stops
-    /// accepting new requests, lets workers finish what they can until
-    /// `deadline_ms` from now, then sheds the still-queued jobs and
-    /// cancels in-flight ones at their next denoising-step boundary.
-    /// Returns once nothing is pending. Relationship to stop(): stop()
-    /// is an unbounded drain (workers finish every queued job) plus a
-    /// thread join; drain() bounds the wait, resolves the remainder,
-    /// and leaves the workers alive so a later stop() joins them
-    /// without further work. The service never accepts again after
-    /// either call. The Router uses drain() + stop() for graceful
-    /// replica restart and (with deadline 0) for simulated crashes.
-    DrainReport drain(double deadline_ms)
-        AERO_EXCLUDES(stop_mutex_, queue_mutex_, stats_mutex_);
-
     /// Stops admission, drains the queued work, joins the workers.
     /// Idempotent and safe against concurrent callers; the destructor
-    /// calls it. See drain() for the bounded variant.
+    /// calls it. A submit() after stop() resolves kShed.
     void stop() AERO_EXCLUDES(stop_mutex_, queue_mutex_);
 
     ServiceStats stats() const AERO_EXCLUDES(stats_mutex_);
     CircuitBreaker::State breaker_state() const { return breaker_.state(); }
-    /// Queued + in-flight requests; the router's power-of-two-choices
-    /// load signal.
-    std::size_t queue_depth() const AERO_EXCLUDES(queue_mutex_);
-    /// False once stop() or drain() has closed admission.
-    bool accepting() const AERO_EXCLUDES(queue_mutex_);
 
 private:
     using Clock = std::chrono::steady_clock;
@@ -209,20 +173,14 @@ private:
     void worker_loop(std::uint64_t worker_seed)
         AERO_NO_THREAD_SAFETY_ANALYSIS;
     RequestResult process(Job& job, util::Rng& backoff_rng);
-    /// True once the job's own deadline or the service drain deadline
-    /// has passed — the cancellation predicate polled between denoising
-    /// steps and checked in the dequeue -> first-step window.
+    /// True once the job's own deadline has passed — the cancellation
+    /// predicate polled between denoising steps and checked in the
+    /// dequeue -> first-step window.
     bool cancel_due(const Job& job) const;
     void record(const RequestResult& result) AERO_EXCLUDES(stats_mutex_);
     /// Sleeps for the attempt's jittered backoff; false when the sleep
-    /// would cross the job's deadline or the drain deadline (caller
-    /// times the request out).
+    /// would cross the job's deadline (caller times the request out).
     bool backoff(int attempt, const Job& job, util::Rng& rng) const;
-    /// Blocks until no job is queued or in flight. `bounded` waits only
-    /// until `deadline`; otherwise waits indefinitely. Opted out of the
-    /// static analysis for the same unique_lock reason as worker_loop.
-    void wait_idle(Clock::time_point deadline, bool bounded)
-        AERO_NO_THREAD_SAFETY_ANALYSIS;
     /// Refreshes the breaker state/trips/recoveries gauges.
     void publish_breaker_metrics();
     /// Total queued jobs across both priority classes.
@@ -281,17 +239,11 @@ private:
     /// (anti-starvation bound).
     std::deque<Job> queues_[kNumPriorities] AERO_GUARDED_BY(queue_mutex_);
     /// Jobs dequeued by a worker whose terminal outcome has not been
-    /// recorded yet — the dequeue -> resolve window drain() waits on.
+    /// recorded yet — what the AIMD concurrency limit gates pickup on.
     long long active_ AERO_GUARDED_BY(queue_mutex_) = 0;
-    bool accepting_ AERO_GUARDED_BY(queue_mutex_) = true;
+    /// Set once by stop(): admission closes (late submits shed) and
+    /// the workers exit after draining the queue.
     bool stopping_ AERO_GUARDED_BY(queue_mutex_) = false;
-    bool draining_ AERO_GUARDED_BY(queue_mutex_) = false;
-    /// Steady-clock deadline (ns since epoch) past which in-flight
-    /// requests cancel at their next step boundary; max() when no drain
-    /// is in progress. Atomic so the per-step cancellation predicate
-    /// reads it without taking queue_mutex_.
-    std::atomic<long long> drain_deadline_ns_{
-        std::numeric_limits<long long>::max()};
 
     mutable util::Mutex stats_mutex_;
     ServiceStats stats_ AERO_GUARDED_BY(stats_mutex_);

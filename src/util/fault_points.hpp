@@ -33,16 +33,6 @@ inline constexpr FaultPoint kFaultPoints[] = {
      "service worker: stall inside an attempt, after breaker admission"},
     {"pool_slow",
      "thread pool: worker stalls ~1ms before executing a claimed chunk"},
-    {"replica_crash",
-     "router supervisor: kills a replica service (drain + stop) as if the "
-     "process died; in-flight work resolves shed/cancelled and the replica "
-     "goes Down until its supervised restart"},
-    {"replica_slow",
-     "router dispatcher: treats the primary dispatch as already past the "
-     "hedge latency threshold, forcing an immediate hedged re-dispatch"},
-    {"replica_probe_fail",
-     "router supervisor: a synthetic health probe fails without reaching "
-     "the replica (probe path outage)"},
     {"overload_spike",
      "service worker: feeds the admission controller a synthetic latency "
      "spike at dequeue (spike_factor x latency target), deterministically "

@@ -1,6 +1,6 @@
 #pragma once
 // Checksums for data-integrity checks (checkpoint payload validation)
-// and stable 64-bit hashing (consistent-hash request routing).
+// and stable 64-bit hashing (condition-cache keys, rate-limiter slots).
 
 #include <cstddef>
 #include <cstdint>
@@ -14,9 +14,8 @@ std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 
 /// FNV-1a 64-bit hash with an avalanche finaliser (splitmix64). Stable
-/// across runs and platforms, so consistent-hash placements (the serve
-/// router's ring) survive process restarts. `seed` continues a previous
-/// hash, letting callers mix several fields without concatenating.
+/// across runs and platforms. `seed` continues a previous hash, letting
+/// callers mix several fields without concatenating.
 std::uint64_t fnv1a64(const void* data, std::size_t size,
                       std::uint64_t seed = 0xcbf29ce484222325ull);
 std::uint64_t fnv1a64(const std::string& text,

@@ -39,13 +39,6 @@ void append_canonical_prompt(std::string& out, const std::string& text) {
     }
 }
 
-std::string canonical_prompt(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    append_canonical_prompt(out, text);
-    return out;
-}
-
 std::vector<std::string> split_whitespace(const std::string& text) {
     std::vector<std::string> tokens;
     std::string current;

@@ -13,14 +13,10 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep);
 std::string to_lower(std::string text);
 
 /// Appends the canonical prompt form of `text` to `out`: lower-cased,
-/// whitespace runs collapsed to single spaces, edges trimmed. The ONE
-/// canonicalisation shared by the serve router's sharding key and the
-/// mem::ConditionCache key (serve/key.hpp) — two copies would silently
-/// drift and split cache affinity.
+/// whitespace runs collapsed to single spaces, edges trimmed. The
+/// pipeline's condition-cache key is built from it, so captions that
+/// differ only in case or spacing share one cache entry.
 void append_canonical_prompt(std::string& out, const std::string& text);
-
-/// canonical prompt form of `text` as a fresh string.
-std::string canonical_prompt(const std::string& text);
 
 /// Splits on any run of whitespace; no empty tokens.
 std::vector<std::string> split_whitespace(const std::string& text);

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -376,6 +378,36 @@ TEST(PipelineCacheTest, RepeatGenerateHitsAndStaysBitwiseIdentical) {
     EXPECT_TRUE(repeat.condition_cached);
     ASSERT_EQ(warm.data().size(), hit.data().size());
     EXPECT_TRUE(warm.data() == hit.data());
+
+    // The key canonicalises captions: a case- and whitespace-reworded
+    // duplicate hits the same entry and decodes to the same bytes.
+    std::string reworded = " \t";
+    for (const char c : caption) {
+        if (c == ' ') {
+            reworded += "  \t";
+        } else {
+            reworded += static_cast<char>(
+                std::toupper(static_cast<unsigned char>(c)));
+        }
+    }
+    reworded += '\n';
+    GenerateControl reworded_control;
+    util::Rng rng_r(5);
+    const image::Image reworded_hit = pipeline.generate(
+        sample, reworded, reworded, rng_r, 0, &reworded_control);
+    EXPECT_TRUE(reworded_control.condition_cached);
+    ASSERT_EQ(reworded_hit.data().size(), warm.data().size());
+    EXPECT_EQ(std::memcmp(reworded_hit.data().data(), warm.data().data(),
+                          warm.data().size() * sizeof(float)),
+              0);
+
+    // A caption whose content differs is a different prompt: it misses.
+    const std::string other = s.keypoint_test[1].text;
+    ASSERT_NE(other, caption);
+    GenerateControl other_control;
+    util::Rng rng_o(5);
+    pipeline.generate(sample, other, other, rng_o, 0, &other_control);
+    EXPECT_FALSE(other_control.condition_cached);
 
     // Off-path (both gates): bitwise identical to the on-path — the
     // subsystem's core contract.

@@ -4,10 +4,10 @@
 // bucket (unit + service accounting), priority dequeue ordering with
 // the anti-starvation bound, the expired-deadline-at-admission
 // regression, bitwise neutrality under AERO_OVERLOAD=0, an end-to-end
-// ladder shed, and a TSan chaos soak combining overload_spike with
-// replica_slow on the router. The serve accounting invariant holds
-// throughout: submitted == sum over outcomes, and by_rung sums to the
-// terminal count.
+// ladder shed, and a TSan chaos soak driving overload_spike, the rate
+// limit, mixed priorities and deadlines through a 4-worker service. The
+// serve accounting invariant holds throughout: submitted == sum over
+// outcomes, and by_rung sums to the terminal count.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "serve/overload.hpp"
-#include "serve/router.hpp"
 #include "serve/service.hpp"
 #include "util/fault.hpp"
 #include "util/rate_limit.hpp"
@@ -643,24 +642,20 @@ TEST(OverloadServiceTest, DisabledSwitchIsBitwiseNeutral) {
 
 // ---- chaos soak (TSan-covered via scripts/check.sh) -------------------------
 
-TEST(OverloadChaosTest, RouterSoakStaysBalancedUnderSpikesAndFaults) {
+TEST(OverloadChaosTest, ServiceSoakStaysBalancedUnderSpikesAndFaults) {
     util::FaultInjector injector(1234);
     injector.set_fail_rate("overload_spike", 0.2);
-    injector.set_fail_rate("replica_slow", 0.1);
 
-    RouterConfig config;
-    config.replicas = 2;
-    config.service = basic_config();
-    config.service.workers = 2;
-    config.service.queue_capacity = 4;
-    config.service.overload.enabled = true;
-    config.service.overload.latency_target_ms = 30.0;
-    config.service.overload.batch_max_wait_ms = 20.0;
-    config.service.rate_limit.qps = 200.0;
-    config.service.rate_limit.burst = 8.0;
+    ServiceConfig config = basic_config();
+    config.workers = 4;
+    config.queue_capacity = 8;
+    config.overload.enabled = true;
+    config.overload.latency_target_ms = 30.0;
+    config.overload.batch_max_wait_ms = 20.0;
+    config.rate_limit.qps = 200.0;
+    config.rate_limit.burst = 8.0;
     config.fault_injector = &injector;
-    config.probe_request = valid_request(77, 0);
-    Router router(shared_pipeline(), config);
+    InferenceService service(shared_pipeline(), config);
 
     constexpr int kRequests = 48;
     std::vector<std::future<RequestResult>> futures;
@@ -670,7 +665,7 @@ TEST(OverloadChaosTest, RouterSoakStaysBalancedUnderSpikesAndFaults) {
         if (i % 3 == 0) request.options.priority = Priority::kBatch;
         if (i % 4 == 0) request.deadline_ms = 200.0;
         request.options.client_id = (i % 2 == 0) ? "alice" : "bob";
-        futures.push_back(router.submit(std::move(request)));
+        futures.push_back(service.submit(std::move(request)));
     }
     for (auto& f : futures) {
         const RequestResult r = f.get();
@@ -678,8 +673,8 @@ TEST(OverloadChaosTest, RouterSoakStaysBalancedUnderSpikesAndFaults) {
             ASSERT_FALSE(r.image.empty());
         }
     }
-    router.stop();
-    const RouterStats stats = router.stats();
+    service.stop();
+    const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.submitted, kRequests);
     EXPECT_TRUE(stats.balanced());
 }
