@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "diffusion/sampler.hpp"
 #include "diffusion/trainer.hpp"
 #include "metrics/metrics.hpp"
@@ -38,8 +40,47 @@ void BM_Conv2d(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(tensor::conv2d(x, w, bias, {1, 1}));
     }
+    // Items are multiply-adds, so the rate reads as MAC/s. The pool runs
+    // the kernel on several threads, so the conv rates use wall time.
+    state.SetItemsProcessed(state.iterations() * 16 * 16 * 9 * size * size);
 }
-BENCHMARK(BM_Conv2d)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2d)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
+
+/// The UNet up-block conv1 at a training batch: 72 -> 24 channels, 3x3,
+/// 8x8, batch 6.
+struct UpBlockConv {
+    static constexpr int kBatch = 6;
+    static constexpr int kIn = 72;
+    static constexpr int kOut = 24;
+    static constexpr int kSize = 8;
+    static constexpr std::int64_t kMacs =
+        std::int64_t{kBatch} * kOut * kSize * kSize * kIn * 9;
+
+    util::Rng rng{5};
+    Tensor input = Tensor::randn({kBatch, kIn, kSize, kSize}, rng);
+    Tensor weight = Tensor::randn({kOut, kIn, 3, 3}, rng);
+    Tensor grad_out = Tensor::randn({kBatch, kOut, kSize, kSize}, rng);
+};
+
+void BM_Conv2dBackwardInput(benchmark::State& state) {
+    const UpBlockConv conv;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tensor::conv2d_backward_input(
+            conv.grad_out, conv.weight, conv.input.shape(), {1, 1}));
+    }
+    state.SetItemsProcessed(state.iterations() * UpBlockConv::kMacs);
+}
+BENCHMARK(BM_Conv2dBackwardInput)->UseRealTime();
+
+void BM_Conv2dBackwardWeight(benchmark::State& state) {
+    const UpBlockConv conv;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tensor::conv2d_backward_weight(
+            conv.grad_out, conv.input, conv.weight.shape(), {1, 1}));
+    }
+    state.SetItemsProcessed(state.iterations() * UpBlockConv::kMacs);
+}
+BENCHMARK(BM_Conv2dBackwardWeight)->UseRealTime();
 
 void BM_MultiHeadAttention(benchmark::State& state) {
     const int tokens = static_cast<int>(state.range(0));

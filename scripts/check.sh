@@ -7,9 +7,9 @@
 #      AERO_CHECK_SANITIZE picks the sanitizer list; the default
 #      address,undefined catches memory bugs in the fuzz/validation
 #      paths and is followed by a TSan pass over the concurrent
-#      obs/serve suites (TSan cannot be combined with ASan, hence two
-#      builds). Set AERO_CHECK_SANITIZE=thread to race-check the full
-#      concurrency-heavy suite list instead.
+#      obs/serve suites and test_parallel (TSan cannot be combined
+#      with ASan, hence two builds). Set AERO_CHECK_SANITIZE=thread to
+#      race-check the full concurrency-heavy suite list instead.
 #   3. python3 perfbench/selftest.py                (.bench_build/)
 #      Short untraced + traced run of every BENCHMARK.json workload,
 #      checking the result line and the AERO_* refusal.
@@ -61,12 +61,14 @@ else
     (cd "${SAN_DIR}" && ctest --output-on-failure -j "${JOBS}" "$@")
     # The observability fast paths are lock-free atomics: memory
     # sanitizers cannot see ordering bugs there, so always race-check
-    # the obs + serve suites under TSan as well.
-    echo "== sanitizer pass: AERO_SANITIZE=thread (obs/serve) =="
+    # the obs + serve suites under TSan as well, plus test_parallel:
+    # the tensor kernels' parallel_for splits (the conv2d lane groups
+    # among them) are only race-checked there.
+    echo "== sanitizer pass: AERO_SANITIZE=thread (obs/serve/parallel) =="
     cmake -B build-san-thread -S . -DAERO_SANITIZE=thread >/dev/null
     cmake --build build-san-thread -j "${JOBS}"
     (cd build-san-thread && ctest --output-on-failure -j "${JOBS}" \
-        -R 'test_obs|test_serve|test_batch|test_overload|test_sync|test_mem' "$@")
+        -R 'test_obs|test_serve|test_batch|test_overload|test_sync|test_mem|test_parallel' "$@")
 fi
 
 # Opt-in bench gates (AERO_CHECK_BENCH=1): self-gating benches whose

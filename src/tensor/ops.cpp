@@ -1,7 +1,10 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -356,6 +359,222 @@ int conv_out_extent(int in, int kernel, const Conv2dSpec& spec) {
     return (in + 2 * spec.pad - kernel) / spec.stride + 1;
 }
 
+// Channel-lane convolution (DESIGN.md §11). A lane group is kLanes
+// channels whose accumulators sit side by side; the innermost loop of
+// every kernel below runs over one group with a compile-time trip count,
+// which -O2 vectorizes. Each output element still receives exactly the
+// direct NCHW loop's float additions, in that loop's order, skipping the
+// same taps — so the results are memcmp-identical to it
+// (tests/test_tensor.cpp keeps the direct loops as the reference).
+constexpr int kLanes = 8;
+
+template <int L>
+using Lanes = std::integral_constant<int, L>;
+
+int lane_groups(int channels) { return (channels + kLanes - 1) / kLanes; }
+
+/// A convolution with less work than this (mul-adds, whole lane groups
+/// counted) runs as one chunk on the calling thread. The lane kernels do
+/// 3-4 GMAC/s on one core, so that is about 0.15 ms: below it a pool
+/// dispatch saves little, and on a loaded host a descheduled worker
+/// stalls the whole call (the batch-1 encoder convs are thousands of
+/// such calls per fit()).
+constexpr std::int64_t kMinParallelConvFlops = 1 << 19;
+
+/// Grain for a convolution split into `units` units of `unit_flops`
+/// each: a single chunk below kMinParallelConvFlops, else the usual
+/// per-chunk floor.
+std::int64_t conv_grain(std::int64_t units, std::int64_t unit_flops) {
+    return units * unit_flops < kMinParallelConvFlops
+               ? units
+               : util::grain_for(unit_flops, kMinChunkFlops);
+}
+
+/// Calls fn(Lanes<L>{}, c) over channels [first, last) in ascending
+/// blocks: 8-wide while 8 remain, then one 4-wide block if 4 remain,
+/// then 1-wide blocks.
+template <typename Fn>
+void for_each_lane_block(int first, int last, Fn&& fn) {
+    for (; last - first >= kLanes; first += kLanes) fn(Lanes<kLanes>{}, first);
+    if (last - first >= 4) {
+        fn(Lanes<4>{}, first);
+        first += 4;
+    }
+    for (; first < last; ++first) fn(Lanes<1>{}, first);
+}
+
+/// [batch][rows][cols] -> [batch][cols][rows]: moves a channel axis
+/// innermost so that one lane group reads contiguous floats.
+Tensor transpose_inner(const Tensor& a, int batch, int rows, int cols) {
+    Tensor out({batch, cols, rows});
+    const float* pa = a.data();
+    float* po = out.data();
+    for (int b = 0; b < batch; ++b) {
+        const float* src = pa + b * rows * cols;
+        float* dst = po + b * rows * cols;
+        for (int r = 0; r < rows; ++r) {
+            for (int col = 0; col < cols; ++col) {
+                dst[col * rows + r] = src[r * cols + col];
+            }
+        }
+    }
+    return out;
+}
+
+struct ConvGeometry {
+    int c, h, w;     ///< input channels and extent
+    int oc, oh, ow;  ///< output channels and extent
+    int kh, kw;
+    int stride, pad;
+};
+
+/// Half-open index range [lo, hi).
+struct Range {
+    int lo;
+    int hi;
+};
+
+/// Taps k of output position `o` that land inside an input of extent
+/// `in` — the taps the direct loop does not skip.
+Range taps_inside(int o, int kernel, int in, const ConvGeometry& g) {
+    const int i0 = o * g.stride - g.pad;
+    return {std::max(0, -i0), std::min(kernel, in - i0)};
+}
+
+/// Output positions o (extent `out`) that reach input position `i`
+/// through some tap k = i + pad - o * stride in [0, kernel).
+Range outputs_reaching(int i, int kernel, int out, const ConvGeometry& g) {
+    const int t = i + g.pad;
+    const int first = t - kernel + 1;
+    return {first <= 0 ? 0 : (first + g.stride - 1) / g.stride,
+            std::min(out, t / g.stride + 1)};
+}
+
+/// Output positions o (extent `out`) whose tap `k` lands inside an input
+/// of extent `in`: 0 <= o * stride - pad + k < in.
+Range outputs_with_tap(int k, int in, int out, const ConvGeometry& g) {
+    const int first = g.pad - k;
+    const int last = in - 1 + g.pad - k;
+    return {first <= 0 ? 0 : (first + g.stride - 1) / g.stride,
+            last < 0 ? 0 : std::min(out, last / g.stride + 1)};
+}
+
+/// Forward for output channels [o0, o0 + L) of one batch item. `in_b` is
+/// [C][H][W]; `packed` is the weight as [C][KH][KW][OC]; `out_b` is
+/// [OC][OH][OW]. Per element: bias (or +0), then in * w over ch -> ky ->
+/// kx ascending.
+template <int L>
+void conv_forward_block(Lanes<L>, const ConvGeometry& g, const float* in_b,
+                        const float* packed, const float* bias, int o0,
+                        float* out_b) {
+    for (int y = 0; y < g.oh; ++y) {
+        const int iy0 = y * g.stride - g.pad;
+        const auto [ky0, ky1] = taps_inside(y, g.kh, g.h, g);
+        for (int x = 0; x < g.ow; ++x) {
+            const int ix0 = x * g.stride - g.pad;
+            const auto [kx0, kx1] = taps_inside(x, g.kw, g.w, g);
+            float acc[L];
+            for (int l = 0; l < L; ++l) {
+                acc[l] = bias == nullptr ? 0.0f : bias[o0 + l];
+            }
+            for (int ch = 0; ch < g.c; ++ch) {
+                const float* in_ch = in_b + ch * g.h * g.w;
+                const float* w_ch = packed + ch * g.kh * g.kw * g.oc + o0;
+                for (int ky = ky0; ky < ky1; ++ky) {
+                    const float* in_row = in_ch + (iy0 + ky) * g.w;
+                    const float* w_row = w_ch + ky * g.kw * g.oc;
+                    for (int kx = kx0; kx < kx1; ++kx) {
+                        const float v = in_row[ix0 + kx];
+                        const float* wp = w_row + kx * g.oc;
+                        for (int l = 0; l < L; ++l) acc[l] += v * wp[l];
+                    }
+                }
+            }
+            for (int l = 0; l < L; ++l) {
+                out_b[((o0 + l) * g.oh + y) * g.ow + x] = acc[l];
+            }
+        }
+    }
+}
+
+/// Input gradient for input channels [c0, c0 + L) of one batch item, in
+/// gather form. `grad_b` is [OC][OH][OW]; `packed` is the weight as
+/// [OC][KH][KW][C]; `out_b` is [C][H][W]. Per element: +0, then g * w
+/// over o, y, x ascending (ky, kx descending), skipping g == 0 — the
+/// order in which the direct loop scatters into it.
+template <int L>
+void conv_backward_input_block(Lanes<L>, const ConvGeometry& g,
+                               const float* grad_b, const float* packed,
+                               int c0, float* out_b) {
+    for (int iy = 0; iy < g.h; ++iy) {
+        const auto [y0, y1] = outputs_reaching(iy, g.kh, g.oh, g);
+        for (int ix = 0; ix < g.w; ++ix) {
+            const auto [x0, x1] = outputs_reaching(ix, g.kw, g.ow, g);
+            float acc[L] = {};
+            for (int o = 0; o < g.oc; ++o) {
+                const float* g_o = grad_b + o * g.oh * g.ow;
+                const float* w_o = packed + o * g.kh * g.kw * g.c + c0;
+                for (int y = y0; y < y1; ++y) {
+                    const int ky = iy + g.pad - y * g.stride;
+                    for (int x = x0; x < x1; ++x) {
+                        const float gv = g_o[y * g.ow + x];
+                        if (gv == 0.0f) continue;
+                        const int kx = ix + g.pad - x * g.stride;
+                        const float* wp = w_o + (ky * g.kw + kx) * g.c;
+                        for (int l = 0; l < L; ++l) acc[l] += gv * wp[l];
+                    }
+                }
+            }
+            for (int l = 0; l < L; ++l) {
+                out_b[((c0 + l) * g.h + iy) * g.w + ix] = acc[l];
+            }
+        }
+    }
+}
+
+/// Weight gradient for output channels [o0, o0 + L) at input channel
+/// `ch`. `input` is [N][C][H][W]; `packed` is grad_out as [N][OH][OW][OC];
+/// `grad_w` is [OC][C][KH][KW]. Per element: +0, then g * in over
+/// b, y, x ascending. A zero g adds +0 instead of being skipped: the
+/// accumulator starts at +0 and a float sum never becomes -0 from there,
+/// so adding +0 leaves its bits unchanged, exactly as the skip does (and
+/// a non-finite input never reaches the sum through a zero g).
+template <int L>
+void conv_backward_weight_block(Lanes<L>, const ConvGeometry& g, int n,
+                                const float* input, const float* packed,
+                                int ch, int o0, float* grad_w) {
+    for (int ky = 0; ky < g.kh; ++ky) {
+        const auto [y0, y1] = outputs_with_tap(ky, g.h, g.oh, g);
+        for (int kx = 0; kx < g.kw; ++kx) {
+            const auto [x0, x1] = outputs_with_tap(kx, g.w, g.ow, g);
+            float acc[L] = {};
+            for (int b = 0; b < n; ++b) {
+                const float* in_ch = input + (b * g.c + ch) * g.h * g.w;
+                const float* g_b = packed + b * g.oh * g.ow * g.oc + o0;
+                for (int y = y0; y < y1; ++y) {
+                    const float* in_row =
+                        in_ch + (y * g.stride - g.pad + ky) * g.w;
+                    for (int x = x0; x < x1; ++x) {
+                        const float v = in_row[x * g.stride - g.pad + kx];
+                        const float* gp = g_b + (y * g.ow + x) * g.oc;
+                        // Products first, in their own loop, so the zero
+                        // select compiles to a mask rather than a branch.
+                        float p[L];
+                        for (int l = 0; l < L; ++l) p[l] = gp[l] * v;
+                        for (int l = 0; l < L; ++l) {
+                            acc[l] += gp[l] == 0.0f ? 0.0f : p[l];
+                        }
+                    }
+                }
+            }
+            for (int l = 0; l < L; ++l) {
+                grad_w[(((o0 + l) * g.c + ch) * g.kh + ky) * g.kw + kx] =
+                    acc[l];
+            }
+        }
+    }
+}
+
 }  // namespace
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
@@ -373,46 +592,32 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     const int ow = conv_out_extent(w, kw, spec);
     assert(oh >= 1 && ow >= 1);
     assert(bias.empty() || (bias.rank() == 1 && bias.dim(0) == oc));
+    const ConvGeometry g{c, h, w, oc, oh, ow, kh, kw, spec.stride, spec.pad};
 
     Tensor out({n, oc, oh, ow});
+    const Tensor packed = transpose_inner(weight, 1, oc, c * kh * kw);
     const float* pi = input.data();
-    const float* pw = weight.data();
+    const float* pw = packed.data();
+    const float* pb = bias.empty() ? nullptr : bias.data();
     float* po = out.data();
 
-    // Each (batch, out-channel) plane is a disjoint output slab with its
-    // own accumulators, so the n*oc planes are the parallel axis.
-    const std::int64_t plane_flops =
-        static_cast<std::int64_t>(oh) * ow * c * kh * kw;
+    // Units are (batch, output-channel group): disjoint output slabs.
+    const int groups = lane_groups(oc);
+    const std::int64_t unit_flops =
+        static_cast<std::int64_t>(oh) * ow * c * kh * kw * kLanes;
+    const std::int64_t units = static_cast<std::int64_t>(n) * groups;
     util::parallel_for(
-        0, static_cast<std::int64_t>(n) * oc,
-        util::grain_for(plane_flops, kMinChunkFlops),
-        [&](std::int64_t bo0, std::int64_t bo1) {
-            for (std::int64_t bo = bo0; bo < bo1; ++bo) {
-                const int b = static_cast<int>(bo / oc);
-                const int o = static_cast<int>(bo % oc);
-                const float bias_v = bias.empty() ? 0.0f : bias[o];
-                for (int y = 0; y < oh; ++y) {
-                    for (int x = 0; x < ow; ++x) {
-                        float acc = bias_v;
-                        const int iy0 = y * spec.stride - spec.pad;
-                        const int ix0 = x * spec.stride - spec.pad;
-                        for (int ch = 0; ch < c; ++ch) {
-                            const float* in_ch = pi + ((b * c + ch) * h) * w;
-                            const float* w_ch = pw + ((o * c + ch) * kh) * kw;
-                            for (int ky = 0; ky < kh; ++ky) {
-                                const int iy = iy0 + ky;
-                                if (iy < 0 || iy >= h) continue;
-                                for (int kx = 0; kx < kw; ++kx) {
-                                    const int ix = ix0 + kx;
-                                    if (ix < 0 || ix >= w) continue;
-                                    acc += in_ch[iy * w + ix] *
-                                           w_ch[ky * kw + kx];
-                                }
-                            }
-                        }
-                        po[(bo * oh + y) * ow + x] = acc;
-                    }
-                }
+        0, units, conv_grain(units, unit_flops),
+        [&](std::int64_t u0, std::int64_t u1) {
+            for (std::int64_t u = u0; u < u1; ++u) {
+                const int b = static_cast<int>(u / groups);
+                const int first = static_cast<int>(u % groups) * kLanes;
+                for_each_lane_block(
+                    first, std::min(first + kLanes, oc),
+                    [&](auto lanes, int o0) {
+                        conv_forward_block(lanes, g, pi + b * c * h * w, pw,
+                                           pb, o0, po + b * oc * oh * ow);
+                    });
             }
         });
     return out;
@@ -432,47 +637,32 @@ Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
     const int kw = weight.dim(3);
     const int oh = grad_out.dim(2);
     const int ow = grad_out.dim(3);
+    const ConvGeometry g{c, h, w, oc, oh, ow, kh, kw, spec.stride, spec.pad};
 
     Tensor grad_in(input_shape);
+    const Tensor packed = transpose_inner(weight, oc, c, kh * kw);
     const float* pg = grad_out.data();
-    const float* pw = weight.data();
+    const float* pw = packed.data();
     float* po = grad_in.data();
 
-    // Every output channel scatters into the same per-batch grad slab,
-    // so the batch is the only safe parallel axis; the inner o/y/x
-    // accumulation order per batch matches the serial kernel exactly.
-    const std::int64_t batch_flops =
-        static_cast<std::int64_t>(oc) * oh * ow * c * kh * kw;
+    // Units are (batch, input-channel group): disjoint grad_in slabs.
+    const int groups = lane_groups(c);
+    const std::int64_t unit_flops =
+        static_cast<std::int64_t>(oc) * oh * ow * kh * kw * kLanes;
+    const std::int64_t units = static_cast<std::int64_t>(n) * groups;
     util::parallel_for(
-        0, n, util::grain_for(batch_flops, kMinChunkFlops),
-        [&](std::int64_t b0, std::int64_t b1) {
-            for (std::int64_t b = b0; b < b1; ++b) {
-                for (int o = 0; o < oc; ++o) {
-                    const float* g_ch = pg + ((b * oc + o) * oh) * ow;
-                    for (int y = 0; y < oh; ++y) {
-                        for (int x = 0; x < ow; ++x) {
-                            const float g = g_ch[y * ow + x];
-                            if (g == 0.0f) continue;
-                            const int iy0 = y * spec.stride - spec.pad;
-                            const int ix0 = x * spec.stride - spec.pad;
-                            for (int ch = 0; ch < c; ++ch) {
-                                float* in_ch = po + ((b * c + ch) * h) * w;
-                                const float* w_ch =
-                                    pw + ((o * c + ch) * kh) * kw;
-                                for (int ky = 0; ky < kh; ++ky) {
-                                    const int iy = iy0 + ky;
-                                    if (iy < 0 || iy >= h) continue;
-                                    for (int kx = 0; kx < kw; ++kx) {
-                                        const int ix = ix0 + kx;
-                                        if (ix < 0 || ix >= w) continue;
-                                        in_ch[iy * w + ix] +=
-                                            g * w_ch[ky * kw + kx];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        0, units, conv_grain(units, unit_flops),
+        [&](std::int64_t u0, std::int64_t u1) {
+            for (std::int64_t u = u0; u < u1; ++u) {
+                const int b = static_cast<int>(u / groups);
+                const int first = static_cast<int>(u % groups) * kLanes;
+                for_each_lane_block(
+                    first, std::min(first + kLanes, c),
+                    [&](auto lanes, int c0) {
+                        conv_backward_input_block(
+                            lanes, g, pg + b * oc * oh * ow, pw, c0,
+                            po + b * c * h * w);
+                    });
             }
         });
     return grad_in;
@@ -492,49 +682,26 @@ Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
     const int kw = weight_shape[3];
     const int oh = grad_out.dim(2);
     const int ow = grad_out.dim(3);
+    const ConvGeometry g{c, h, w, oc, oh, ow, kh, kw, spec.stride, spec.pad};
 
     Tensor grad_w(weight_shape);
-    const float* pg = grad_out.data();
+    const Tensor packed = transpose_inner(grad_out, n, oc, oh * ow);
     const float* pi = input.data();
+    const float* pg = packed.data();
     float* po = grad_w.data();
 
-    // Out-channel is the parallel axis: each o owns a disjoint weight
-    // slab. Relative to the old b-outer loop the o/b loops are swapped,
-    // but every weight element still accumulates its (b, y, x)
-    // contributions in the same ascending order, so the restructure is
-    // bitwise neutral.
-    const std::int64_t per_oc_flops =
-        static_cast<std::int64_t>(n) * oh * ow * c * kh * kw;
+    // Units are input channels: each writes the disjoint [:, ch, :, :]
+    // weight slab, once per element, from register accumulators.
+    const std::int64_t unit_flops =
+        static_cast<std::int64_t>(n) * oh * ow * kh * kw * oc;
     util::parallel_for(
-        0, oc, util::grain_for(per_oc_flops, kMinChunkFlops),
-        [&](std::int64_t o0, std::int64_t o1) {
-            for (std::int64_t o = o0; o < o1; ++o) {
-                for (int b = 0; b < n; ++b) {
-                    const float* g_ch = pg + ((b * oc + o) * oh) * ow;
-                    for (int y = 0; y < oh; ++y) {
-                        for (int x = 0; x < ow; ++x) {
-                            const float g = g_ch[y * ow + x];
-                            if (g == 0.0f) continue;
-                            const int iy0 = y * spec.stride - spec.pad;
-                            const int ix0 = x * spec.stride - spec.pad;
-                            for (int ch = 0; ch < c; ++ch) {
-                                const float* in_ch =
-                                    pi + ((b * c + ch) * h) * w;
-                                float* w_ch = po + ((o * c + ch) * kh) * kw;
-                                for (int ky = 0; ky < kh; ++ky) {
-                                    const int iy = iy0 + ky;
-                                    if (iy < 0 || iy >= h) continue;
-                                    for (int kx = 0; kx < kw; ++kx) {
-                                        const int ix = ix0 + kx;
-                                        if (ix < 0 || ix >= w) continue;
-                                        w_ch[ky * kw + kx] +=
-                                            g * in_ch[iy * w + ix];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        0, c, conv_grain(c, unit_flops),
+        [&](std::int64_t ch0, std::int64_t ch1) {
+            for (std::int64_t ch = ch0; ch < ch1; ++ch) {
+                for_each_lane_block(0, oc, [&](auto lanes, int o0) {
+                    conv_backward_weight_block(lanes, g, n, pi, pg,
+                                               static_cast<int>(ch), o0, po);
+                });
             }
         });
     return grad_w;

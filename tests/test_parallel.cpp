@@ -60,6 +60,15 @@ void expect_thread_count_invariant(const char* label, Fn compute) {
     }
 }
 
+/// Chunks one call of `compute` is split into, read from the pool's
+/// counters; a result of 1 means the kernel ran serially.
+template <typename Fn>
+long long chunks_per_call(Fn compute) {
+    const long long before = ThreadPool::instance().stats().chunks;
+    compute();
+    return ThreadPool::instance().stats().chunks - before;
+}
+
 TEST(Determinism, Matmul) {
     aero::util::Rng rng(11);
     const Tensor a = Tensor::randn({64, 96}, rng);
@@ -125,6 +134,66 @@ TEST(Determinism, Conv2d) {
     expect_thread_count_invariant("conv2d_backward_bias", [&] {
         return ops::conv2d_backward_bias(grad_out);
     });
+}
+
+TEST(Determinism, Conv2dLaneTails) {
+    // 5 input channels leave a 4-wide and a 1-wide lane block and 20
+    // output channels a 4-wide one, so chunks hold partial lane groups.
+    // 32x32 keeps every kernel above the size a convolution needs to be
+    // split at all, at both strides (checked below).
+    aero::util::Rng rng(17);
+    const Tensor input = Tensor::randn({3, 5, 32, 32}, rng);
+    const Tensor weight = Tensor::randn({20, 5, 3, 3}, rng);
+    const Tensor bias = Tensor::randn({20}, rng);
+    for (const int stride : {1, 2}) {
+        const ops::Conv2dSpec spec{stride, 1};
+        const Tensor out = ops::conv2d(input, weight, bias, spec);
+        const Tensor grad_out = Tensor::randn(out.shape(), rng);
+        const auto forward = [&] {
+            return ops::conv2d(input, weight, bias, spec);
+        };
+        const auto backward_input = [&] {
+            return ops::conv2d_backward_input(grad_out, weight,
+                                              input.shape(), spec);
+        };
+        const auto backward_weight = [&] {
+            return ops::conv2d_backward_weight(grad_out, input,
+                                               weight.shape(), spec);
+        };
+        EXPECT_GT(chunks_per_call(forward), 1) << "stride " << stride;
+        EXPECT_GT(chunks_per_call(backward_input), 1) << "stride " << stride;
+        EXPECT_GT(chunks_per_call(backward_weight), 1) << "stride " << stride;
+        expect_thread_count_invariant("conv2d", forward);
+        expect_thread_count_invariant("conv2d_backward_input",
+                                      backward_input);
+        expect_thread_count_invariant("conv2d_backward_weight",
+                                      backward_weight);
+    }
+}
+
+TEST(Chunking, BatchOneEncoderConvRunsAsOneChunk) {
+    // The image encoders' second conv (16 -> 32, stride 2, on one
+    // image's 16x16 map) is below the size worth a pool dispatch, though
+    // each kernel has several units here.
+    aero::util::Rng rng(18);
+    const Tensor input = Tensor::randn({1, 16, 16, 16}, rng);
+    const Tensor weight = Tensor::randn({32, 16, 3, 3}, rng);
+    const Tensor bias = Tensor::randn({32}, rng);
+    const ops::Conv2dSpec spec{2, 1};
+    const Tensor grad_out = Tensor::randn({1, 32, 8, 8}, rng);
+    EXPECT_EQ(chunks_per_call(
+                  [&] { return ops::conv2d(input, weight, bias, spec); }),
+              1);
+    EXPECT_EQ(chunks_per_call([&] {
+                  return ops::conv2d_backward_input(grad_out, weight,
+                                                    input.shape(), spec);
+              }),
+              1);
+    EXPECT_EQ(chunks_per_call([&] {
+                  return ops::conv2d_backward_weight(grad_out, input,
+                                                     weight.shape(), spec);
+              }),
+              1);
 }
 
 TEST(Determinism, Attention) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -242,12 +248,283 @@ TEST_P(ConvGeometry, BackwardShapesMatchForward) {
     EXPECT_EQ(gw.shape(), w.shape());
 }
 
+// ---- conv2d bitwise reference ----------------------------------------------
+// The direct NCHW loops that the channel-lane kernels replaced. The lane
+// kernels must give every output element exactly these float additions,
+// in this order, skipping the same taps, so their results are compared
+// with memcmp, not a tolerance.
+
+int reference_extent(int in, int kernel, const Conv2dSpec& spec) {
+    return (in + 2 * spec.pad - kernel) / spec.stride + 1;
+}
+
+Tensor reference_conv2d(const Tensor& input, const Tensor& weight,
+                        const Tensor& bias, const Conv2dSpec& spec) {
+    const int n = input.dim(0);
+    const int c = input.dim(1);
+    const int h = input.dim(2);
+    const int w = input.dim(3);
+    const int oc = weight.dim(0);
+    const int kh = weight.dim(2);
+    const int kw = weight.dim(3);
+    const int oh = reference_extent(h, kh, spec);
+    const int ow = reference_extent(w, kw, spec);
+    Tensor out({n, oc, oh, ow});
+    const float* pi = input.data();
+    const float* pw = weight.data();
+    float* po = out.data();
+    for (int b = 0; b < n; ++b) {
+        for (int o = 0; o < oc; ++o) {
+            const float bias_v = bias.empty() ? 0.0f : bias[o];
+            for (int y = 0; y < oh; ++y) {
+                for (int x = 0; x < ow; ++x) {
+                    float acc = bias_v;
+                    const int iy0 = y * spec.stride - spec.pad;
+                    const int ix0 = x * spec.stride - spec.pad;
+                    for (int ch = 0; ch < c; ++ch) {
+                        const float* in_ch = pi + ((b * c + ch) * h) * w;
+                        const float* w_ch = pw + ((o * c + ch) * kh) * kw;
+                        for (int ky = 0; ky < kh; ++ky) {
+                            const int iy = iy0 + ky;
+                            if (iy < 0 || iy >= h) continue;
+                            for (int kx = 0; kx < kw; ++kx) {
+                                const int ix = ix0 + kx;
+                                if (ix < 0 || ix >= w) continue;
+                                acc += in_ch[iy * w + ix] * w_ch[ky * kw + kx];
+                            }
+                        }
+                    }
+                    po[((b * oc + o) * oh + y) * ow + x] = acc;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+Tensor reference_conv2d_backward_input(const Tensor& grad_out,
+                                       const Tensor& weight,
+                                       const std::vector<int>& input_shape,
+                                       const Conv2dSpec& spec) {
+    const int n = input_shape[0];
+    const int c = input_shape[1];
+    const int h = input_shape[2];
+    const int w = input_shape[3];
+    const int oc = weight.dim(0);
+    const int kh = weight.dim(2);
+    const int kw = weight.dim(3);
+    const int oh = grad_out.dim(2);
+    const int ow = grad_out.dim(3);
+    Tensor grad_in(input_shape);
+    const float* pg = grad_out.data();
+    const float* pw = weight.data();
+    float* po = grad_in.data();
+    for (int b = 0; b < n; ++b) {
+        for (int o = 0; o < oc; ++o) {
+            const float* g_ch = pg + ((b * oc + o) * oh) * ow;
+            for (int y = 0; y < oh; ++y) {
+                for (int x = 0; x < ow; ++x) {
+                    const float g = g_ch[y * ow + x];
+                    if (g == 0.0f) continue;
+                    const int iy0 = y * spec.stride - spec.pad;
+                    const int ix0 = x * spec.stride - spec.pad;
+                    for (int ch = 0; ch < c; ++ch) {
+                        float* in_ch = po + ((b * c + ch) * h) * w;
+                        const float* w_ch = pw + ((o * c + ch) * kh) * kw;
+                        for (int ky = 0; ky < kh; ++ky) {
+                            const int iy = iy0 + ky;
+                            if (iy < 0 || iy >= h) continue;
+                            for (int kx = 0; kx < kw; ++kx) {
+                                const int ix = ix0 + kx;
+                                if (ix < 0 || ix >= w) continue;
+                                in_ch[iy * w + ix] += g * w_ch[ky * kw + kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return grad_in;
+}
+
+Tensor reference_conv2d_backward_weight(const Tensor& grad_out,
+                                        const Tensor& input,
+                                        const std::vector<int>& weight_shape,
+                                        const Conv2dSpec& spec) {
+    const int n = input.dim(0);
+    const int c = input.dim(1);
+    const int h = input.dim(2);
+    const int w = input.dim(3);
+    const int oc = weight_shape[0];
+    const int kh = weight_shape[2];
+    const int kw = weight_shape[3];
+    const int oh = grad_out.dim(2);
+    const int ow = grad_out.dim(3);
+    Tensor grad_w(weight_shape);
+    const float* pg = grad_out.data();
+    const float* pi = input.data();
+    float* po = grad_w.data();
+    for (int o = 0; o < oc; ++o) {
+        for (int b = 0; b < n; ++b) {
+            const float* g_ch = pg + ((b * oc + o) * oh) * ow;
+            for (int y = 0; y < oh; ++y) {
+                for (int x = 0; x < ow; ++x) {
+                    const float g = g_ch[y * ow + x];
+                    if (g == 0.0f) continue;
+                    const int iy0 = y * spec.stride - spec.pad;
+                    const int ix0 = x * spec.stride - spec.pad;
+                    for (int ch = 0; ch < c; ++ch) {
+                        const float* in_ch = pi + ((b * c + ch) * h) * w;
+                        float* w_ch = po + ((o * c + ch) * kh) * kw;
+                        for (int ky = 0; ky < kh; ++ky) {
+                            const int iy = iy0 + ky;
+                            if (iy < 0 || iy >= h) continue;
+                            for (int kx = 0; kx < kw; ++kx) {
+                                const int ix = ix0 + kx;
+                                if (ix < 0 || ix >= w) continue;
+                                w_ch[ky * kw + kx] += g * in_ch[iy * w + ix];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return grad_w;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<std::size_t>(a.size())) ==
+               0;
+}
+
+struct ConvProblem {
+    int n, c, oc, h, w, kernel, stride, pad;
+};
+
+std::string describe(const ConvProblem& p) {
+    std::ostringstream out;
+    out << "n=" << p.n << " c=" << p.c << " oc=" << p.oc << " " << p.h << "x"
+        << p.w << " k=" << p.kernel << " stride=" << p.stride
+        << " pad=" << p.pad;
+    return out.str();
+}
+
+/// Runs all three conv kernels and their references on random data, with
+/// and without bias; every third grad_out element is an exact zero, so
+/// the g == 0 skips are exercised.
+void expect_matches_reference(const ConvProblem& p) {
+    SCOPED_TRACE(describe(p));
+    aero::util::Rng rng(static_cast<std::uint64_t>(
+        p.n * 131 + p.c * 31 + p.oc * 7 + p.h * 3 + p.w + p.kernel));
+    const Tensor x = Tensor::randn({p.n, p.c, p.h, p.w}, rng);
+    const Tensor weight = Tensor::randn({p.oc, p.c, p.kernel, p.kernel}, rng);
+    const Conv2dSpec spec{p.stride, p.pad};
+    for (const bool with_bias : {false, true}) {
+        const Tensor bias = with_bias ? Tensor::randn({p.oc}, rng) : Tensor();
+        EXPECT_TRUE(bitwise_equal(ops::conv2d(x, weight, bias, spec),
+                                  reference_conv2d(x, weight, bias, spec)))
+            << "conv2d, bias=" << with_bias;
+    }
+    const int oh = reference_extent(p.h, p.kernel, spec);
+    const int ow = reference_extent(p.w, p.kernel, spec);
+    Tensor grad = Tensor::randn({p.n, p.oc, oh, ow}, rng);
+    for (int i = 0; i < grad.size(); i += 3) grad[i] = 0.0f;
+    EXPECT_TRUE(bitwise_equal(
+        ops::conv2d_backward_input(grad, weight, x.shape(), spec),
+        reference_conv2d_backward_input(grad, weight, x.shape(), spec)))
+        << "conv2d_backward_input";
+    EXPECT_TRUE(bitwise_equal(
+        ops::conv2d_backward_weight(grad, x, weight.shape(), spec),
+        reference_conv2d_backward_weight(grad, x, weight.shape(), spec)))
+        << "conv2d_backward_weight";
+}
+
+TEST_P(ConvGeometry, LaneKernelsMatchDirectLoops) {
+    const ConvCase c = GetParam();
+    // The sweep's own 2 -> 3 channels, then lane tails on both sides.
+    expect_matches_reference(
+        {1, 2, 3, c.size, c.size, c.kernel, c.stride, c.pad});
+    expect_matches_reference(
+        {2, 9, 20, c.size, c.size, c.kernel, c.stride, c.pad});
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvGeometry,
     ::testing::Values(ConvCase{8, 3, 1, 1}, ConvCase{8, 3, 2, 1},
                       ConvCase{8, 1, 1, 0}, ConvCase{16, 5, 1, 2},
                       ConvCase{16, 3, 2, 0}, ConvCase{9, 3, 1, 0},
                       ConvCase{12, 4, 2, 1}));
+
+TEST(ConvReference, UNetShapesAtServingBatches) {
+    // Every convolution of one UNet forward at the default UNetConfig
+    // (in 4, base 24) on the 8x8 latent (diffusion/unet.cpp).
+    const int in = 4;
+    const int c = 24;
+    const int latent = 8;
+    const int half = latent / 2;
+    const std::vector<ConvProblem> shapes = {
+        {1, in, c, latent, latent, 3, 1, 1},          // conv_in
+        {1, c, c, latent, latent, 3, 1, 1},           // down conv1
+        {1, c, c, latent, latent, 3, 1, 1},           // down conv2
+        {1, c, 2 * c, half, half, 3, 1, 1},           // mid_in conv1
+        {1, 2 * c, 2 * c, half, half, 3, 1, 1},       // mid_in conv2
+        {1, c, 2 * c, half, half, 1, 1, 0},           // mid_in skip
+        {1, 2 * c, 2 * c, half, half, 3, 1, 1},       // mid_out conv1
+        {1, 2 * c, 2 * c, half, half, 3, 1, 1},       // mid_out conv2
+        {1, 3 * c, c, latent, latent, 3, 1, 1},       // up conv1
+        {1, c, c, latent, latent, 3, 1, 1},           // up conv2
+        {1, 3 * c, c, latent, latent, 1, 1, 0},       // up skip
+        {1, c, in, latent, latent, 3, 1, 1},          // conv_out
+    };
+    for (const int batch : {1, 2, 6}) {
+        for (ConvProblem p : shapes) {
+            p.n = batch;
+            expect_matches_reference(p);
+        }
+    }
+}
+
+TEST(ConvReference, LaneTailChannelCounts) {
+    for (const int c : {1, 3, 5, 9, 20, 72}) {
+        for (const int oc : {1, 3, 5, 9, 20, 72}) {
+            expect_matches_reference({2, c, oc, 6, 5, 3, 1, 1});
+        }
+    }
+}
+
+TEST(ConvReference, StridesAndNonSquareInputs) {
+    expect_matches_reference({2, 5, 9, 11, 7, 3, 2, 1});
+    expect_matches_reference({1, 3, 20, 7, 12, 3, 2, 0});
+    expect_matches_reference({2, 9, 5, 13, 10, 3, 3, 1});
+    expect_matches_reference({1, 4, 12, 9, 14, 5, 3, 2});
+    expect_matches_reference({3, 3, 16, 32, 24, 3, 2, 1});
+    expect_matches_reference({1, 2, 3, 3, 4, 5, 1, 2});
+    expect_matches_reference({1, 2, 3, 1, 2, 5, 1, 2});
+}
+
+TEST(ConvReference, ZeroGradientSkipsHoldWithInfiniteValues) {
+    // With finite data, adding a zero gradient's product changes no bits;
+    // next to an infinite input or weight it adds 0 * inf = NaN. So here
+    // only kernels that skip exactly the zero-gradient taps match.
+    aero::util::Rng rng(23);
+    Tensor x = Tensor::randn({2, 9, 6, 6}, rng);
+    Tensor weight = Tensor::randn({5, 9, 3, 3}, rng);
+    x[40] = std::numeric_limits<float>::infinity();
+    weight[17] = -std::numeric_limits<float>::infinity();
+    Tensor grad = Tensor::randn({2, 5, 6, 6}, rng);
+    for (int i = 0; i < grad.size(); i += 2) grad[i] = 0.0f;
+    const Conv2dSpec spec{1, 1};
+    EXPECT_TRUE(bitwise_equal(
+        ops::conv2d_backward_input(grad, weight, x.shape(), spec),
+        reference_conv2d_backward_input(grad, weight, x.shape(), spec)));
+    EXPECT_TRUE(bitwise_equal(
+        ops::conv2d_backward_weight(grad, x, weight.shape(), spec),
+        reference_conv2d_backward_weight(grad, x, weight.shape(), spec)));
+}
 
 // Property sweep: matmul associativity-with-transpose identities hold
 // for assorted shapes.
