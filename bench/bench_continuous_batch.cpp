@@ -56,8 +56,7 @@ RunReport run_burst(const bench::Harness& harness,
     config.queue_capacity = static_cast<std::size_t>(requests);
     config.limits.image_size = harness.budget.image_size;
     config.rate_limit = util::RateLimitConfig{};  // bench pins its own knobs
-    config.batch.enabled = batched;
-    config.batch.batch_max = streams;
+    config.batch.batch_max = batched ? streams : 1;
     serve::InferenceService service(pipeline, config);
 
     obs::Stopwatch watch;

@@ -116,7 +116,6 @@ ServePoint run_serve(const bench::Harness& harness,
     for (int i = 0; i < requests; ++i) {
         const std::size_t slot = static_cast<std::size_t>(i) % test.size();
         serve::InferenceRequest request;
-        request.task = serve::TaskKind::kGenerate;
         request.reference = test[slot];
         request.source_caption = captions[slot].text;
         request.target_caption = captions[slot].text;

@@ -63,17 +63,16 @@ ScenarioReport run_scenario(const bench::Harness& harness,
         request.target_caption = captions[slot].text;
         request.seed = 0x5e21e0 + static_cast<std::uint64_t>(i);
         request.deadline_ms = scenario.deadline_ms;
+        using Kind = diffusion::SamplerJob::Kind;
         switch (i % 3) {
-            case 0:
-                request.task = serve::TaskKind::kGenerate;
-                break;
+            case 0: break;  // kSample
             case 1:
-                request.task = serve::TaskKind::kEdit;
-                request.strength = 0.5f;
+                request.task.kind = Kind::kEdit;
+                request.task.strength = 0.5f;
                 break;
             default:
-                request.task = serve::TaskKind::kInpaint;
-                request.region = {
+                request.task.kind = Kind::kInpaint;
+                request.task.region = {
                     static_cast<float>(harness.budget.image_size / 4),
                     static_cast<float>(harness.budget.image_size / 4),
                     static_cast<float>(harness.budget.image_size / 2),

@@ -36,8 +36,15 @@ int main() {
     region.w = static_cast<float>(size) * 0.5f;
     region.h = static_cast<float>(size) * 0.5f;
 
-    const image::Image inpainted = pipeline.generate_inpaint(
-        reference, region, caption, caption, rng, 0);
+    const image::Image inpainted = pipeline.generate(
+        reference, caption, caption, rng, 0, nullptr,
+        {.kind = diffusion::SamplerJob::Kind::kInpaint, .region = region});
+    if (inpainted.width() != size || inpainted.height() != size) {
+        std::fprintf(stderr, "inpainting returned a %dx%d image, expected "
+                     "%dx%d\n", inpainted.width(), inpainted.height(), size,
+                     size);
+        return 1;
+    }
 
     image::write_ppm(reference.image, "inpaint_reference.ppm");
     image::write_ppm(inpainted, "inpaint_result.ppm");

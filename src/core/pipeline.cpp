@@ -397,18 +397,18 @@ diffusion::DdimConfig ddim_config_for(const PipelineConfig& config,
 }  // namespace
 
 bool AeroDiffusionPipeline::validate_reference(
-    const scene::AerialSample& reference, std::string* error) const {
+    const scene::AerialSample& reference, int image_size, std::string* error) {
     const image::Image& img = reference.image;
     if (img.empty()) {
         if (error) *error = "reference image is empty";
         return false;
     }
-    const int size = substrate_->budget.image_size;
-    if (img.width() != size || img.height() != size) {
+    if (img.width() != image_size || img.height() != image_size) {
         if (error) {
             *error = "reference image is " + std::to_string(img.width()) +
                      "x" + std::to_string(img.height()) + ", expected " +
-                     std::to_string(size) + "x" + std::to_string(size);
+                     std::to_string(image_size) + "x" +
+                     std::to_string(image_size);
         }
         return false;
     }
@@ -551,12 +551,37 @@ Tensor AeroDiffusionPipeline::condition_for(
 
 namespace {
 
-/// Rejection path shared by the generate* entry points.
-image::Image rejected(const std::string& name, const std::string& what,
-                      const std::string& error, GenerateControl* control) {
-    util::log_error() << name << ": " << what << " rejected: " << error;
+/// Rejection path of generate().
+image::Image rejected(const std::string& name, const std::string& error,
+                      GenerateControl* control) {
+    util::log_error() << name << ": generate rejected: " << error;
     if (control) control->error = error;
     return image::Image();
+}
+
+/// Pixel-space box -> latent-space regenerate mask (1 = regenerate) over
+/// a [channels, s, s] latent of an image_size x image_size image. The
+/// far edges round up, so the mask covers every latent cell the box
+/// touches.
+Tensor inpaint_mask(const scene::BoundingBox& box, int channels, int s,
+                    int image_size) {
+    const float scale =
+        static_cast<float>(s) / static_cast<float>(image_size);
+    Tensor mask({channels, s, s});
+    const int x0 = std::clamp(static_cast<int>(box.x * scale), 0, s - 1);
+    const int y0 = std::clamp(static_cast<int>(box.y * scale), 0, s - 1);
+    const int x1 = std::clamp(
+        static_cast<int>(std::ceil((box.x + box.w) * scale)), x0 + 1, s);
+    const int y1 = std::clamp(
+        static_cast<int>(std::ceil((box.y + box.h) * scale)), y0 + 1, s);
+    for (int c = 0; c < channels; ++c) {
+        for (int y = y0; y < y1; ++y) {
+            for (int x = x0; x < x1; ++x) {
+                mask[(c * s + y) * s + x] = 1.0f;
+            }
+        }
+    }
+    return mask;
 }
 
 /// Per-stage latency histograms, resolved once; the spans below feed
@@ -605,10 +630,24 @@ const StageMetrics& stage_metrics() {
 image::Image AeroDiffusionPipeline::generate(
     const scene::AerialSample& reference, const std::string& source_caption,
     const std::string& target_caption, util::Rng& rng, int sample_index,
-    GenerateControl* control) const {
+    GenerateControl* control, const GenerateTask& task) const {
+    using Kind = diffusion::SamplerJob::Kind;
+    const int image_size = substrate_->budget.image_size;
     std::string error;
-    if (!validate_reference(reference, &error)) {
-        return rejected(config_.name, "generate", error, control);
+    if (!validate_reference(reference, image_size, &error)) {
+        return rejected(config_.name, error, control);
+    }
+    // A NaN strength would sail through the sampler's std::clamp into a
+    // size_t start-index cast (UB); reject it here like any other
+    // malformed input, before touching the encoders.
+    if (task.kind == Kind::kEdit && !std::isfinite(task.strength)) {
+        return rejected(config_.name, "edit strength must be finite",
+                        control);
+    }
+    std::optional<scene::BoundingBox> region;
+    if (task.kind == Kind::kInpaint) {
+        region = clamp_region(task.region, image_size, &error);
+        if (!region) return rejected(config_.name, error, control);
     }
     Tensor cond;
     {
@@ -617,28 +656,36 @@ image::Image AeroDiffusionPipeline::generate(
                              sample_index, control);
     }
 
-    diffusion::DdimConfig ddim =
-        ddim_config_for(config_, substrate_->budget, control);
-    if (control) ddim.should_cancel = control->should_cancel;
     const auto& ae_config = substrate_->autoencoder->config();
+    const int channels = ae_config.latent_channels;
     const int s = ae_config.latent_size();
-    // Overload-ladder reduced-resolution rung: sample a half-size
-    // latent and nearest-upsample it back to the decoder's fixed input
-    // size — quarter the per-step UNet cost for a softer image. Only
-    // when the halved grid still divides cleanly through the UNet's
-    // two-resolution trunk.
-    const bool half = control != nullptr && control->half_resolution &&
-                      s >= 4 && s % 2 == 0;
+    diffusion::SamplerJob job;
+    job.kind = task.kind;
+    if (region) job.mask = inpaint_mask(*region, channels, s, image_size);
+    job.strength = task.strength;  // read by kEdit only
+    job.condition_tokens = std::move(cond);
+    job.config = ddim_config_for(config_, substrate_->budget, control);
+    if (control) job.config.should_cancel = control->should_cancel;
+    job.rng = &rng;
+    // Overload-ladder reduced-resolution rung, kSample only (kEdit and
+    // kInpaint start from the full-resolution source latent): sample a
+    // half-size latent and nearest-upsample it back to the decoder's
+    // fixed input size — quarter the per-step UNet cost for a softer
+    // image. Only when the halved grid still divides cleanly through the
+    // UNet's two-resolution trunk.
+    const bool half = task.kind == Kind::kSample && control != nullptr &&
+                      control->half_resolution && s >= 4 && s % 2 == 0;
     const int sample_s = half ? s / 2 : s;
     Tensor latent;
     {
         const obs::Span span("sample", stage_metrics().sample);
-        diffusion::SamplerJob job;
-        job.kind = diffusion::SamplerJob::Kind::kSample;
-        job.shape = {ae_config.latent_channels, sample_s, sample_s};
-        job.condition_tokens = cond;
-        job.config = ddim;
-        job.rng = &rng;
+        if (task.kind == Kind::kSample) {
+            job.shape = {channels, sample_s, sample_s};
+        } else {
+            job.source = tensor::scale(
+                substrate_->autoencoder->encode_image(reference.image),
+                substrate_->latent_scale);
+        }
         latent = dispatch_job(unet_, schedule_, control, std::move(job));
     }
     if (latent.empty()) {  // cancelled between denoising steps
@@ -647,128 +694,11 @@ image::Image AeroDiffusionPipeline::generate(
     }
     if (half) {
         latent = tensor::upsample_nearest2x(
-                     latent.reshaped({1, ae_config.latent_channels,
-                                      sample_s, sample_s}))
-                     .reshaped({ae_config.latent_channels, s, s});
+                     latent.reshaped({1, channels, sample_s, sample_s}))
+                     .reshaped({channels, s, s});
     }
     const obs::Span span("decode", stage_metrics().decode);
     // Undo the latent normalisation before decoding.
-    latent = tensor::scale(latent, 1.0f / substrate_->latent_scale);
-    return substrate_->autoencoder->decode_latent(latent);
-}
-
-image::Image AeroDiffusionPipeline::generate_edit(
-    const scene::AerialSample& reference, const std::string& source_caption,
-    const std::string& target_caption, float strength, util::Rng& rng,
-    int sample_index, GenerateControl* control) const {
-    std::string error;
-    if (!validate_reference(reference, &error)) {
-        return rejected(config_.name, "generate_edit", error, control);
-    }
-    // A NaN strength would sail through the sampler's std::clamp into a
-    // size_t start-index cast (UB); reject it here like any other
-    // malformed input, before touching the encoders.
-    if (!std::isfinite(strength)) {
-        return rejected(config_.name, "generate_edit",
-                        "edit strength must be finite", control);
-    }
-    Tensor cond;
-    {
-        const obs::Span span("condition", stage_metrics().condition);
-        cond = condition_for(reference, source_caption, target_caption,
-                             sample_index, control);
-    }
-
-    diffusion::DdimConfig ddim =
-        ddim_config_for(config_, substrate_->budget, control);
-    if (control) ddim.should_cancel = control->should_cancel;
-    Tensor latent;
-    {
-        const obs::Span span("sample", stage_metrics().sample);
-        diffusion::SamplerJob job;
-        job.kind = diffusion::SamplerJob::Kind::kEdit;
-        job.source = tensor::scale(
-            substrate_->autoencoder->encode_image(reference.image),
-            substrate_->latent_scale);
-        job.strength = strength;
-        job.condition_tokens = cond;
-        job.config = ddim;
-        job.rng = &rng;
-        latent = dispatch_job(unet_, schedule_, control, std::move(job));
-    }
-    if (latent.empty()) {
-        if (control) control->cancelled = true;
-        return image::Image();
-    }
-    const obs::Span span("decode", stage_metrics().decode);
-    latent = tensor::scale(latent, 1.0f / substrate_->latent_scale);
-    return substrate_->autoencoder->decode_latent(latent);
-}
-
-image::Image AeroDiffusionPipeline::generate_inpaint(
-    const scene::AerialSample& reference, const scene::BoundingBox& region,
-    const std::string& source_caption, const std::string& target_caption,
-    util::Rng& rng, int sample_index, GenerateControl* control) const {
-    std::string error;
-    if (!validate_reference(reference, &error)) {
-        return rejected(config_.name, "generate_inpaint", error, control);
-    }
-    const std::optional<scene::BoundingBox> clamped =
-        clamp_region(region, substrate_->budget.image_size, &error);
-    if (!clamped) {
-        return rejected(config_.name, "generate_inpaint", error, control);
-    }
-    Tensor cond;
-    {
-        const obs::Span span("condition", stage_metrics().condition);
-        cond = condition_for(reference, source_caption, target_caption,
-                             sample_index, control);
-    }
-
-    const auto& ae_config = substrate_->autoencoder->config();
-    const int s = ae_config.latent_size();
-    const float scale = static_cast<float>(s) /
-                        static_cast<float>(substrate_->budget.image_size);
-    // Pixel-space box -> latent-space mask (1 = regenerate).
-    Tensor mask({ae_config.latent_channels, s, s});
-    const int x0 = std::clamp(static_cast<int>(clamped->x * scale), 0, s - 1);
-    const int y0 = std::clamp(static_cast<int>(clamped->y * scale), 0, s - 1);
-    const int x1 = std::clamp(
-        static_cast<int>(std::ceil((clamped->x + clamped->w) * scale)),
-        x0 + 1, s);
-    const int y1 = std::clamp(
-        static_cast<int>(std::ceil((clamped->y + clamped->h) * scale)),
-        y0 + 1, s);
-    for (int c = 0; c < ae_config.latent_channels; ++c) {
-        for (int y = y0; y < y1; ++y) {
-            for (int x = x0; x < x1; ++x) {
-                mask[(c * s + y) * s + x] = 1.0f;
-            }
-        }
-    }
-
-    diffusion::DdimConfig ddim =
-        ddim_config_for(config_, substrate_->budget, control);
-    if (control) ddim.should_cancel = control->should_cancel;
-    Tensor latent;
-    {
-        const obs::Span span("sample", stage_metrics().sample);
-        diffusion::SamplerJob job;
-        job.kind = diffusion::SamplerJob::Kind::kInpaint;
-        job.source = tensor::scale(
-            substrate_->autoencoder->encode_image(reference.image),
-            substrate_->latent_scale);
-        job.mask = mask;
-        job.condition_tokens = cond;
-        job.config = ddim;
-        job.rng = &rng;
-        latent = dispatch_job(unet_, schedule_, control, std::move(job));
-    }
-    if (latent.empty()) {
-        if (control) control->cancelled = true;
-        return image::Image();
-    }
-    const obs::Span span("decode", stage_metrics().decode);
     latent = tensor::scale(latent, 1.0f / substrate_->latent_scale);
     return substrate_->autoencoder->decode_latent(latent);
 }

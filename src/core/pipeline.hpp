@@ -75,12 +75,32 @@ struct PipelineConfig {
                                    bool with_object_detection);
 };
 
-/// Per-call control block for the generate* entry points, used by the
-/// serving layer. Inputs: a cancellation predicate polled between
-/// denoising steps, a switch that forces the unconditional path (open
-/// circuit breaker), and a fault injector for the "condition_encoder"
-/// point. Outputs report what actually happened so the caller can type
-/// the outcome instead of inspecting pixels.
+/// What generate() synthesises from the reference. All three kinds are
+/// one DDIM reverse process that differs only in its start latent and
+/// mask (diffusion::SamplerJob::Kind):
+///   * kSample — a fresh sample from noise;
+///   * kEdit — SDEdit-style: anchored on the reference image's latent,
+///     re-noised to `strength` * T, so low strengths preserve layout
+///     while the target caption steers the rest ("closer viewpoint"
+///     transitions, Table III);
+///   * kInpaint — RePaint-style latent inpainting: only the pixel-space
+///     `region` is regenerated, the rest of the reference is preserved.
+/// Fields a kind does not use are ignored. Every member has a default
+/// initializer, so a designated initializer may name only what its kind
+/// reads (`{.kind = Kind::kEdit, .strength = 0.3f}`) without tripping
+/// -Wmissing-field-initializers.
+struct GenerateTask {
+    diffusion::SamplerJob::Kind kind = diffusion::SamplerJob::Kind::kSample;
+    float strength = 0.5f;        ///< kEdit; must be finite
+    scene::BoundingBox region{};  ///< kInpaint; clamped (see clamp_region)
+};
+
+/// Per-call control block for generate(), used by the serving layer.
+/// Inputs: a cancellation predicate polled between denoising steps, a
+/// switch that forces the unconditional path (open circuit breaker),
+/// and a fault injector for the "condition_encoder" point. Outputs
+/// report what actually happened so the caller can type the outcome
+/// instead of inspecting pixels.
 struct GenerateControl {
     /// Polled between denoising steps; true abandons the run (the
     /// returned image is empty, never half-rendered).
@@ -93,8 +113,8 @@ struct GenerateControl {
     /// Degradation knobs driven by the serving overload ladder
     /// (serve/overload.hpp). `max_steps` caps the DDIM step count
     /// (0 = no cap); `half_resolution` samples a half-size latent and
-    /// nearest-upsamples it back before decoding (generate() only —
-    /// edit/inpaint anchor on the full-resolution source latent, so
+    /// nearest-upsamples it back before decoding (kSample only — kEdit
+    /// and kInpaint anchor on the full-resolution source latent, so
     /// they honour the step cap alone). Both default off, keeping the
     /// control block bitwise-neutral for callers that never set them.
     int max_steps = 0;
@@ -104,8 +124,8 @@ struct GenerateControl {
     /// batcher) instead of running inline. The executor receives the
     /// caller's Rng by pointer and draws from it in sequential order,
     /// so output is bitwise identical either way; null (the default)
-    /// keeps the entry points a true no-op relative to the pre-batching
-    /// code path.
+    /// keeps generate() a true no-op relative to the pre-batching code
+    /// path.
     diffusion::SamplerExecutor* executor = nullptr;
     /// Skip the condition cache for this call. Circuit-breaker half-open
     /// probes must exercise the real encoder path — a cache hit would
@@ -129,43 +149,24 @@ public:
     /// Synthesises an image conditioned on a reference sample (source of
     /// image features / ROIs), its source caption G_i, and the target
     /// caption G'_i (Table III changes G' to move the viewpoint).
-    /// `sample_index` feeds variant-specific extras (ARLDM history).
-    /// All generate* entry points validate the reference up front (see
-    /// validate_reference) and return an empty image — with the reason
-    /// in `control->error` when a control block is given — instead of
-    /// propagating non-finite pixels into the encoders.
+    /// `sample_index` feeds variant-specific extras (ARLDM history);
+    /// `task` picks a fresh sample, an edit or an inpaint (GenerateTask).
+    /// The reference (and a kEdit strength / kInpaint region) is
+    /// validated up front: a rejected call returns an empty image — with
+    /// the reason in `control->error` when a control block is given —
+    /// instead of propagating non-finite pixels into the encoders.
     image::Image generate(const scene::AerialSample& reference,
                           const std::string& source_caption,
                           const std::string& target_caption, util::Rng& rng,
                           int sample_index = -1,
-                          GenerateControl* control = nullptr) const;
+                          GenerateControl* control = nullptr,
+                          const GenerateTask& task = {}) const;
 
-    /// SDEdit-style variant of generate(): anchors the synthesis on the
-    /// reference image's latent, re-noised to `strength` * T, so low
-    /// strengths preserve layout while the target caption steers the
-    /// rest. Useful for "closer viewpoint" transitions (Table III).
-    image::Image generate_edit(const scene::AerialSample& reference,
-                               const std::string& source_caption,
-                               const std::string& target_caption,
-                               float strength, util::Rng& rng,
-                               int sample_index = -1,
-                               GenerateControl* control = nullptr) const;
-
-    /// Regenerates only the given pixel-space region (RePaint-style
-    /// latent inpainting); the rest of the reference is preserved.
-    image::Image generate_inpaint(const scene::AerialSample& reference,
-                                  const scene::BoundingBox& region,
-                                  const std::string& source_caption,
-                                  const std::string& target_caption,
-                                  util::Rng& rng,
-                                  int sample_index = -1,
-                                  GenerateControl* control = nullptr) const;
-
-    /// Validates a reference sample for the generate* entry points: the
-    /// image must be present, match the substrate budget's dimensions,
-    /// and contain only finite pixels. Fills `error` on failure.
-    bool validate_reference(const scene::AerialSample& reference,
-                            std::string* error) const;
+    /// Validates a reference sample for generate(): the image must be
+    /// present, image_size x image_size (the substrate budget's), and
+    /// contain only finite pixels. Fills `error` on failure.
+    static bool validate_reference(const scene::AerialSample& reference,
+                                   int image_size, std::string* error);
 
     /// Clamps `region` into an image_size x image_size frame. Rejects
     /// (nullopt + `error`) non-finite coordinates, non-positive sizes,
@@ -205,7 +206,7 @@ public:
     }
 
     /// Live entries in this pipeline's condition cache (stats / tests).
-    /// The cache is consulted by every generate* call unless gated off
+    /// The cache is consulted by every generate() call unless gated off
     /// (AERO_COND_CACHE=0) or bypassed per-call, and invalidated by
     /// load()/fit() — see DESIGN.md §17.
     int condition_cache_entries() const { return condition_cache_.entries(); }
@@ -233,11 +234,11 @@ private:
     Tensor checked_condition(const ConditionFeatures& features,
                              GenerateControl* control) const;
 
-    /// The condition span shared by the generate* entry points: handles
-    /// the forced-unconditional and injected-fault short-circuits, then
-    /// consults the condition cache (unless gated off or bypassed), and
-    /// only on a miss runs features_for + checked_condition. Finite,
-    /// non-degraded encodings are inserted for the next identical call.
+    /// The condition span of generate(): handles the forced-
+    /// unconditional and injected-fault short-circuits, then consults
+    /// the condition cache (unless gated off or bypassed), and only on a
+    /// miss runs features_for + checked_condition. Finite, non-degraded
+    /// encodings are inserted for the next identical call.
     Tensor condition_for(const scene::AerialSample& reference,
                          const std::string& source_caption,
                          const std::string& target_caption, int sample_index,

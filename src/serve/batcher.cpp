@@ -26,7 +26,7 @@ void set_batching_enabled(bool on) {
 }
 
 bool step_batching_live(const StepBatcherConfig& config) {
-    return config.enabled && config.batch_max > 1 && batching_enabled();
+    return config.batch_max > 1 && batching_enabled();
 }
 
 StepBatcher::StepBatcher(const diffusion::UNet& unet,
@@ -35,26 +35,18 @@ StepBatcher::StepBatcher(const diffusion::UNet& unet,
     : unet_(&unet),
       schedule_(&schedule),
       config_(config),
-      live_(step_batching_live(config)),
       occupancy_(&obs::MetricsRegistry::instance().gauge(
           "aero_batch_occupancy",
           "jobs currently sharing the batched denoising step")) {
     // Nothing can race the constructor; the lock keeps the guarded-by
     // contract uniform at the cost of one uncontended acquisition.
     const util::MutexLock lock(stop_mutex_);
-    if (live_) driver_ = std::thread(&StepBatcher::driver_loop, this);
+    driver_ = std::thread(&StepBatcher::driver_loop, this);
 }
 
 StepBatcher::~StepBatcher() { shutdown(); }
 
 tensor::Tensor StepBatcher::execute(diffusion::SamplerJob job) {
-    if (!live_) {
-        // Defensive degenerate path; the service does not install a
-        // non-live batcher as executor, but a direct caller still gets
-        // the exact sequential behaviour.
-        return diffusion::run_sampler_job(*unet_, *schedule_,
-                                          std::move(job));
-    }
     std::promise<tensor::Tensor> promise;
     std::future<tensor::Tensor> future = promise.get_future();
     {

@@ -15,9 +15,9 @@
 // The bitwise contract: because the engine draws from each job's own
 // caller-provided Rng in sequential order, a batched run produces
 // memcmp-identical latents to the sequential path at every batch size,
-// including mid-flight joins and retirements. With the batcher not
-// live (config disabled, AERO_BATCH=0, or batch_max <= 1) the service
-// leaves GenerateControl::executor unset and the serve path is the
+// including mid-flight joins and retirements. With batching not live
+// (AERO_BATCH=0 or batch_max <= 1) the service builds no batcher,
+// leaves GenerateControl::executor unset, and the serve path is the
 // pre-batching code, bit for bit.
 
 #include <cstdint>
@@ -39,23 +39,21 @@ bool batching_enabled();
 void set_batching_enabled(bool on);
 
 struct StepBatcherConfig {
-    /// Master switch for this batcher; ANDed with batching_enabled().
-    bool enabled = true;
     /// Concurrent jobs packed into one denoising step. 1 (or 0) turns
-    /// batching off entirely — no driver thread, no hand-off.
+    /// batching off for the service — no batcher, no hand-off.
     int batch_max = 8;
 };
 
-/// True when a batcher built from `config` will actually batch. When
-/// false the service keeps the inline sampling path (a true no-op).
+/// True when `config` batches: batch_max > 1 and batching_enabled().
+/// The service builds a StepBatcher only then; otherwise it keeps the
+/// inline sampling path (a true no-op).
 bool step_batching_live(const StepBatcherConfig& config);
 
 class StepBatcher final : public diffusion::SamplerExecutor {
 public:
     /// `unet` and `schedule` (a pipeline's, via unet() /
     /// noise_schedule()) must outlive the batcher; they are only ever
-    /// read. The driver thread starts immediately when
-    /// step_batching_live(config).
+    /// read. The driver thread starts immediately.
     StepBatcher(const diffusion::UNet& unet,
                 const diffusion::NoiseSchedule& schedule,
                 const StepBatcherConfig& config);
@@ -63,12 +61,8 @@ public:
     StepBatcher(const StepBatcher&) = delete;
     StepBatcher& operator=(const StepBatcher&) = delete;
 
-    /// Whether this instance batches (captured at construction).
-    bool live() const { return live_; }
-
     /// Blocks until the job retires; empty tensor = cancelled. Safe to
-    /// call from many worker threads concurrently. On a non-live
-    /// batcher this degenerates to the inline sequential path.
+    /// call from many worker threads concurrently.
     tensor::Tensor execute(diffusion::SamplerJob job) override;
 
     /// Drains in-flight jobs and joins the driver thread. Idempotent;
@@ -105,7 +99,6 @@ private:
     const diffusion::UNet* unet_;
     const diffusion::NoiseSchedule* schedule_;
     StepBatcherConfig config_;
-    bool live_ = false;
     obs::Gauge* occupancy_ = nullptr;
 
     mutable util::Mutex mutex_;

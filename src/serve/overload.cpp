@@ -3,25 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/env.hpp"
-
 namespace aero::serve {
-
-namespace {
-
-std::atomic<bool> g_overload_enabled = [] {
-    return util::env_int("AERO_OVERLOAD", 1) != 0;
-}();
-
-}  // namespace
-
-bool overload_enabled() {
-    return g_overload_enabled.load(std::memory_order_relaxed);
-}
-
-void set_overload_enabled(bool on) {
-    g_overload_enabled.store(on, std::memory_order_relaxed);
-}
 
 AdmissionController::Metrics AdmissionController::resolve_metrics() {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
@@ -57,7 +39,6 @@ AdmissionController::AdmissionController(const OverloadConfig& config,
                                          const obs::Clock* clock)
     : config_(config),
       clock_(clock != nullptr ? clock : &obs::default_clock()),
-      enabled_(config.enabled && overload_enabled()),
       metrics_(resolve_metrics()),
       limit_(std::max(1, config.max_limit)),
       limit_exact_(static_cast<double>(std::max(1, config.max_limit))) {
@@ -68,7 +49,7 @@ AdmissionController::AdmissionController(const OverloadConfig& config,
         std::clamp(config_.decrease_factor, 0.05, 0.99);
     config_.load_smoothing = std::clamp(config_.load_smoothing, 0.01, 1.0);
     window_.assign(static_cast<std::size_t>(config_.window), 0.0);
-    if (enabled_ && config_.step_target_ms > 0.0) {
+    if (config_.enabled && config_.step_target_ms > 0.0) {
         step_histogram_ = &obs::MetricsRegistry::instance().histogram(
             "aero_diffusion_step_ms", "single DDIM denoising step, ms",
             obs::default_ms_buckets());
@@ -203,7 +184,7 @@ void AdmissionController::evaluate_locked(std::int64_t now_ns) {
 }
 
 void AdmissionController::on_finish(double latency_ms) {
-    if (!enabled_) return;
+    if (!config_.enabled) return;
     const util::MutexLock lock(mutex_);
     window_[window_next_] = latency_ms;
     window_next_ = (window_next_ + 1) % window_.size();
@@ -213,7 +194,7 @@ void AdmissionController::on_finish(double latency_ms) {
 }
 
 void AdmissionController::poll() {
-    if (!enabled_) return;
+    if (!config_.enabled) return;
     const util::MutexLock lock(mutex_);
     const std::int64_t now_ns = clock_->now_ns();
     // Queue state changes on the CoDel timescale, not the AIMD one:
@@ -225,7 +206,7 @@ void AdmissionController::poll() {
 }
 
 void AdmissionController::inject_spike() {
-    if (!enabled_) return;
+    if (!config_.enabled) return;
     const util::MutexLock lock(mutex_);
     window_[window_next_] = config_.spike_factor * config_.latency_target_ms;
     window_next_ = (window_next_ + 1) % window_.size();
@@ -235,7 +216,7 @@ void AdmissionController::inject_spike() {
 }
 
 bool AdmissionController::codel_drop(double sojourn_ms) {
-    if (!enabled_) return false;
+    if (!config_.enabled) return false;
     const util::MutexLock lock(mutex_);
     max_sojourn_ms_ = std::max(max_sojourn_ms_, sojourn_ms);
     if (sojourn_ms < config_.codel_target_ms ||
@@ -267,7 +248,7 @@ bool AdmissionController::codel_drop(double sojourn_ms) {
 }
 
 DegradeRung AdmissionController::rung_for(Priority priority) const {
-    if (!enabled_) return DegradeRung::kFull;
+    if (!config_.enabled) return DegradeRung::kFull;
     if (priority == Priority::kInteractive) {
         return static_cast<DegradeRung>(
             rung_.load(std::memory_order_relaxed));

@@ -31,11 +31,10 @@
 //     (the overload-accounting lint rule pins call sites to that
 //     contract).
 //
-// Gating: a controller is live only when its config enables it AND the
-// process-wide AERO_OVERLOAD switch (default on, `0` disables) is set —
-// mirroring AERO_OBS. With either off, every query degenerates to the
-// identity (limit = max, rung = kFull, no drops) and serving output is
-// bitwise identical to a build without this subsystem.
+// Gating: a controller is live only when OverloadConfig::enabled is set
+// (off by default). Disabled, every query degenerates to the identity
+// (limit = max, rung = kFull, no drops) and serving output is bitwise
+// identical to a build without this subsystem.
 
 #include <atomic>
 #include <cstdint>
@@ -49,15 +48,9 @@
 
 namespace aero::serve {
 
-/// Process-wide overload switch, initialised once from AERO_OVERLOAD
-/// (0 disables; anything else, or unset, enables).
-bool overload_enabled();
-/// Test/bench hook; takes effect immediately on all threads.
-void set_overload_enabled(bool on);
-
 struct OverloadConfig {
-    /// Master switch for this controller; ANDed with overload_enabled().
-    /// Off by default so existing services are untouched.
+    /// Master switch for this controller. Off by default so existing
+    /// services are untouched.
     bool enabled = false;
 
     // -- AIMD concurrency limit --
@@ -110,8 +103,8 @@ public:
     explicit AdmissionController(const OverloadConfig& config,
                                  const obs::Clock* clock = nullptr);
 
-    /// Live = config.enabled && overload_enabled() at construction.
-    bool enabled() const { return enabled_; }
+    /// Live = config.enabled.
+    bool enabled() const { return config_.enabled; }
 
     /// Current AIMD concurrency limit (max_limit when not live).
     /// Lock-free: safe to read inside a queue-mutex predicate.
@@ -188,7 +181,6 @@ private:
 
     OverloadConfig config_;
     const obs::Clock* clock_;
-    bool enabled_ = false;
     Metrics metrics_;
     obs::Histogram* step_histogram_ = nullptr;
 

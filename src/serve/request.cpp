@@ -2,15 +2,6 @@
 
 namespace aero::serve {
 
-const char* task_kind_name(TaskKind task) {
-    switch (task) {
-        case TaskKind::kGenerate: return "generate";
-        case TaskKind::kEdit: return "edit";
-        case TaskKind::kInpaint: return "inpaint";
-    }
-    return "?";
-}
-
 const char* priority_name(Priority priority) {
     switch (priority) {
         case Priority::kInteractive: return "interactive";

@@ -8,15 +8,12 @@
 #include <cstdint>
 #include <string>
 
+#include "core/pipeline.hpp"
 #include "image/image.hpp"
 #include "obs/trace.hpp"
 #include "scene/dataset.hpp"
 
 namespace aero::serve {
-
-/// Which pipeline entry point a request exercises.
-enum class TaskKind { kGenerate = 0, kEdit, kInpaint };
-const char* task_kind_name(TaskKind task);
 
 /// Scheduling class of a request. Interactive traffic is dequeued
 /// first; batch traffic (bulk augmentation) yields, but never starves —
@@ -78,14 +75,14 @@ enum class InvalidReason {
 const char* invalid_reason_name(InvalidReason reason);
 
 struct InferenceRequest {
-    TaskKind task = TaskKind::kGenerate;
+    /// Sample, edit or inpaint (core::GenerateTask). Validation requires
+    /// an edit strength in (0, 1] and clamps an inpaint region in place.
+    core::GenerateTask task;
     /// Copied in at submit(): the service never borrows caller memory,
     /// so a caller may free its inputs the moment submit() returns.
     scene::AerialSample reference;
     std::string source_caption;
     std::string target_caption;
-    scene::BoundingBox region;  ///< inpaint only; clamped by validation
-    float strength = 0.5f;      ///< edit only, in (0, 1]
     /// Relative deadline measured from submit(); <= 0 means none. A
     /// request past its deadline is rejected while queued or cancelled
     /// between denoising steps — never returned half-rendered.

@@ -516,7 +516,7 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
         // and could report a broken encoder healthy.
         control.bypass_condition_cache = holds_probe;
         // Degradation knobs accumulate down the ladder: reduced steps
-        // first, then also half resolution (generate() only; edit and
+        // first, then also half resolution (kSample only; edit and
         // inpaint honour the step cap alone).
         if (job.rung >= DegradeRung::kReducedSteps) {
             control.max_steps = std::max(1, config_.overload.reduced_steps);
@@ -543,27 +543,9 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
         util::Rng request_rng(request.seed +
                               0xd1b54a32d192ed03ull *
                                   static_cast<std::uint64_t>(attempt));
-        image::Image image;
-        switch (request.task) {
-            case TaskKind::kGenerate:
-                image = pipeline_->generate(request.reference,
-                                            request.source_caption,
-                                            request.target_caption,
-                                            request_rng, -1, &control);
-                break;
-            case TaskKind::kEdit:
-                image = pipeline_->generate_edit(
-                    request.reference, request.source_caption,
-                    request.target_caption, request.strength, request_rng,
-                    -1, &control);
-                break;
-            case TaskKind::kInpaint:
-                image = pipeline_->generate_inpaint(
-                    request.reference, request.region,
-                    request.source_caption, request.target_caption,
-                    request_rng, -1, &control);
-                break;
-        }
+        image::Image image = pipeline_->generate(
+            request.reference, request.source_caption,
+            request.target_caption, request_rng, -1, &control, request.task);
 
         if (control.cancelled) {
             result.cancelled = true;

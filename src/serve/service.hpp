@@ -81,7 +81,7 @@ struct ServiceConfig {
     double slow_fault_ms = 50.0;
     /// Adaptive overload control (serve/overload.hpp): AIMD concurrency
     /// limit, CoDel queue discipline, degradation ladder. Off by
-    /// default; also gated process-wide by AERO_OVERLOAD.
+    /// default (overload.enabled).
     OverloadConfig overload;
     /// Per-client token-bucket admission (util/rate_limit.hpp), read
     /// from AERO_RATE_QPS / AERO_RATE_BURST by default (unset = off).
@@ -90,8 +90,8 @@ struct ServiceConfig {
     /// Continuous cross-request step batching (serve/batcher.hpp): on
     /// by default (also gated process-wide by AERO_BATCH), workers hand
     /// sampling jobs to a shared step batcher. Output is bitwise
-    /// identical to the sequential path; batch_max = 1 (or enabled =
-    /// false) is a true no-op — no driver thread, inline sampling.
+    /// identical to the sequential path; batch_max = 1 is a true no-op
+    /// — no driver thread, inline sampling.
     StepBatcherConfig batch;
     std::uint64_t seed = 0x5e21e;  ///< forked into per-worker Rngs
 };
@@ -220,15 +220,14 @@ private:
     Metrics metrics_;
     /// Adaptive overload control: AIMD limit the workers gate on, CoDel
     /// verdicts at dequeue, ladder rungs at admission. Inert (identity
-    /// limit, kFull rung) unless config_.overload.enabled and the
-    /// AERO_OVERLOAD switch agree.
+    /// limit, kFull rung) unless config_.overload.enabled.
     AdmissionController controller_;
     /// Per-client token buckets consulted in submit(); the service
     /// feeds it obs::default_clock() timestamps.
     util::RateLimiter limiter_;
     /// Continuous step batcher the workers hand sampling jobs to via
     /// GenerateControl::executor. Null when batching is not live
-    /// (config, AERO_BATCH=0, or batch_max <= 1) — the inline path.
+    /// (AERO_BATCH=0 or batch_max <= 1) — the inline path.
     /// stop() shuts it down after the workers are joined.
     std::unique_ptr<StepBatcher> batcher_;
 

@@ -76,19 +76,10 @@ InvalidReason validate_request(InferenceRequest& request,
     reason = validate_caption(request.target_caption, limits, message);
     if (reason != InvalidReason::kNone) return reason;
 
-    const image::Image& img = request.reference.image;
-    if (img.empty() || img.width() != limits.image_size ||
-        img.height() != limits.image_size) {
-        fill(message, "reference image missing or not " +
-                          std::to_string(limits.image_size) + "x" +
-                          std::to_string(limits.image_size));
+    using Pipeline = core::AeroDiffusionPipeline;
+    if (!Pipeline::validate_reference(request.reference, limits.image_size,
+                                      message)) {
         return InvalidReason::kBadReferenceImage;
-    }
-    for (const float v : img.data()) {
-        if (!std::isfinite(v)) {
-            fill(message, "reference image contains non-finite pixels");
-            return InvalidReason::kBadReferenceImage;
-        }
     }
 
     if (!std::isfinite(request.deadline_ms) || request.deadline_ms < 0.0 ||
@@ -98,22 +89,20 @@ InvalidReason validate_request(InferenceRequest& request,
         return InvalidReason::kBadDeadline;
     }
 
-    if (request.task == TaskKind::kEdit &&
-        (!std::isfinite(request.strength) || request.strength <= 0.0f ||
-         request.strength > 1.0f)) {
+    core::GenerateTask& task = request.task;
+    using Kind = diffusion::SamplerJob::Kind;
+    if (task.kind == Kind::kEdit &&
+        (!std::isfinite(task.strength) || task.strength <= 0.0f ||
+         task.strength > 1.0f)) {
         fill(message, "edit strength must be in (0, 1]");
         return InvalidReason::kBadStrength;
     }
 
-    if (request.task == TaskKind::kInpaint) {
-        std::string region_error;
-        const auto clamped = core::AeroDiffusionPipeline::clamp_region(
-            request.region, limits.image_size, &region_error);
-        if (!clamped) {
-            fill(message, region_error);
-            return InvalidReason::kBadRegion;
-        }
-        request.region = *clamped;
+    if (task.kind == Kind::kInpaint) {
+        const auto clamped =
+            Pipeline::clamp_region(task.region, limits.image_size, message);
+        if (!clamped) return InvalidReason::kBadRegion;
+        task.region = *clamped;
     }
     return InvalidReason::kNone;
 }

@@ -25,8 +25,10 @@ struct ValidationLimits {
 
 /// Validates `request` against `limits`. On success returns kNone and,
 /// for inpaint tasks, writes the in-bounds clamped region back into
-/// `request.region`; otherwise returns the first failure found and
-/// fills `message` (when non-null) with the detail.
+/// `request.task.region`; otherwise returns the first failure found and
+/// fills `message` (when non-null) with the detail. The reference image
+/// and region checks are the pipeline's own
+/// (AeroDiffusionPipeline::validate_reference / clamp_region).
 InvalidReason validate_request(InferenceRequest& request,
                                const ValidationLimits& limits,
                                std::string* message);

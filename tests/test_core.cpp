@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include "baselines/models.hpp"
 #include "core/condition.hpp"
 #include "core/pipeline.hpp"
 #include "core/substrate.hpp"
 #include "metrics/metrics.hpp"
+#include "tensor/ops.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
 
@@ -18,6 +22,7 @@ namespace {
 using namespace aero::core;
 using aero::scene::AerialDataset;
 using aero::scene::DatasetConfig;
+using Kind = aero::diffusion::SamplerJob::Kind;
 
 /// One tiny substrate shared by every test in this binary (expensive to
 /// build, cheap to reuse; all consumers treat it as const).
@@ -244,7 +249,8 @@ TEST(PipelineTest, EditAndInpaintProduceValidImages) {
     const std::string caption = s.keypoint_test[0].text;
 
     const auto edited =
-        pipeline.generate_edit(sample, caption, caption, 0.4f, rng, 0);
+        pipeline.generate(sample, caption, caption, rng, 0, nullptr,
+                          {.kind = Kind::kEdit, .strength = 0.4f});
     EXPECT_EQ(edited.width(), s.budget.image_size);
     for (float v : edited.data()) {
         EXPECT_GE(v, 0.0f);
@@ -260,9 +266,129 @@ TEST(PipelineTest, EditAndInpaintProduceValidImages) {
     EXPECT_GT(psnr_edit, psnr_gen - 3.0);  // never dramatically worse
 
     aero::scene::BoundingBox region{4, 4, 12, 12};
-    const auto inpainted = pipeline.generate_inpaint(
-        sample, region, caption, caption, rng, 0);
+    const auto inpainted =
+        pipeline.generate(sample, caption, caption, rng, 0, nullptr,
+                          {.kind = Kind::kInpaint, .region = region});
     EXPECT_EQ(inpainted.width(), s.budget.image_size);
+}
+
+/// generate()'s per-kind logic rebuilt by hand from public pieces: the
+/// condition encoder on freshly computed features, one SamplerJob (a
+/// fresh shape, or the encoded reference latent plus the edit strength
+/// or the inpaint mask), the sequential sampler, then unscale and
+/// decode. `max_steps` / `half_resolution` mirror GenerateControl; the
+/// half-size latent applies to kSample only.
+aero::image::Image hand_built_generate(const AeroDiffusionPipeline& pipeline,
+                                       const aero::scene::AerialSample& sample,
+                                       const std::string& caption,
+                                       aero::util::Rng& rng,
+                                       const GenerateTask& task,
+                                       int max_steps, bool half_resolution) {
+    namespace ops = aero::tensor;
+    const Substrate& s = shared_substrate();
+    const PipelineConfig& config = pipeline.config();
+    const ConditionFeatures features = compute_condition_features(
+        s, sample, caption, caption, config.use_object_detection,
+        config.max_rois);
+
+    const int channels = s.autoencoder->config().latent_channels;
+    const int n = s.autoencoder->config().latent_size();
+    const int m = task.kind == Kind::kSample && half_resolution ? n / 2 : n;
+    aero::diffusion::SamplerJob job;
+    job.kind = task.kind;
+    job.condition_tokens =
+        pipeline.condition_encoder().encode(features).value();
+    job.config.inference_steps =
+        max_steps > 0 ? std::min(s.budget.ddim_steps, max_steps)
+                      : s.budget.ddim_steps;
+    job.config.guidance_scale = s.budget.guidance_scale;
+    job.config.parameterization = config.parameterization;
+    job.rng = &rng;
+    if (task.kind == Kind::kSample) {
+        job.shape = {channels, m, m};
+    } else {
+        job.source = ops::scale(s.autoencoder->encode_image(sample.image),
+                                s.latent_scale);
+    }
+    if (task.kind == Kind::kEdit) job.strength = task.strength;
+    if (task.kind == Kind::kInpaint) {
+        // Clamped pixel box -> latent cells: near edges truncate, far
+        // edges round up, at least one cell per axis.
+        const aero::scene::BoundingBox box = *AeroDiffusionPipeline::
+            clamp_region(task.region, s.budget.image_size, nullptr);
+        const float to_latent =
+            static_cast<float>(n) / static_cast<float>(s.budget.image_size);
+        const int x0 = std::clamp(static_cast<int>(box.x * to_latent), 0,
+                                  n - 1);
+        const int y0 = std::clamp(static_cast<int>(box.y * to_latent), 0,
+                                  n - 1);
+        const int x1 = std::clamp(
+            static_cast<int>(std::ceil((box.x + box.w) * to_latent)),
+            x0 + 1, n);
+        const int y1 = std::clamp(
+            static_cast<int>(std::ceil((box.y + box.h) * to_latent)),
+            y0 + 1, n);
+        job.mask = aero::tensor::Tensor({channels, n, n});
+        for (int c = 0; c < channels; ++c) {
+            for (int y = y0; y < y1; ++y) {
+                for (int x = x0; x < x1; ++x) {
+                    job.mask[(c * n + y) * n + x] = 1.0f;
+                }
+            }
+        }
+    }
+    aero::tensor::Tensor latent = aero::diffusion::run_sampler_job(
+        pipeline.unet(), pipeline.noise_schedule(), std::move(job));
+    if (m != n) {
+        latent = ops::upsample_nearest2x(latent.reshaped({1, channels, m, m}))
+                     .reshaped({channels, n, n});
+    }
+    return s.autoencoder->decode_latent(
+        ops::scale(latent, 1.0f / s.latent_scale));
+}
+
+TEST(PipelineTest, GenerateMatchesHandBuiltJobForEveryKind) {
+    const Substrate& s = shared_substrate();
+    aero::util::Rng init(41);
+    const AeroDiffusionPipeline pipeline(PipelineConfig::aero_diffusion(), s,
+                                         init);
+    const auto& sample = s.dataset->test()[0];
+    const std::string caption = s.keypoint_test[0].text;
+
+    // Box far edges that fall inside a latent cell, so the mask's
+    // rounding is observable; the second box is clamped at two sides.
+    const aero::scene::BoundingBox interior{5, 5, 10, 10};
+    const aero::scene::BoundingBox clamped{-6, 20, 17, 30};
+    const std::vector<GenerateTask> tasks = {
+        {},
+        {.kind = Kind::kEdit, .strength = 0.3f},
+        {.kind = Kind::kEdit, .strength = 1.0f},
+        {.kind = Kind::kInpaint, .region = interior},
+        {.kind = Kind::kInpaint, .region = clamped},
+    };
+    for (const bool degraded : {false, true}) {
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << "task " << i << (degraded ? " degraded" : ""));
+            GenerateControl control;
+            control.max_steps = 2;
+            control.half_resolution = true;
+            aero::util::Rng rng_a(900 + i);
+            aero::util::Rng rng_b(900 + i);
+            const aero::image::Image got = pipeline.generate(
+                sample, caption, caption, rng_a, -1,
+                degraded ? &control : nullptr, tasks[i]);
+            const aero::image::Image want = hand_built_generate(
+                pipeline, sample, caption, rng_b, tasks[i],
+                degraded ? control.max_steps : 0, degraded);
+            ASSERT_FALSE(got.empty());
+            ASSERT_EQ(got.data().size(), want.data().size());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  got.data().size() * sizeof(float)),
+                      0);
+            EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+        }
+    }
 }
 
 void remove_checkpoint(const std::string& path) {

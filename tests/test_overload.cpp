@@ -3,10 +3,11 @@
 // and batch bias, the step-histogram p99 signal, the per-client token
 // bucket (unit + service accounting), priority dequeue ordering with
 // the anti-starvation bound, the expired-deadline-at-admission
-// regression, bitwise neutrality under AERO_OVERLOAD=0, an end-to-end
-// ladder shed, and a TSan chaos soak driving overload_spike, the rate
-// limit, mixed priorities and deadlines through a 4-worker service. The
-// serve accounting invariant holds throughout: submitted == sum over
+// regression, bitwise neutrality of a disabled controller
+// (OverloadConfig::enabled = false), an end-to-end ladder shed, and a
+// TSan chaos soak driving overload_spike, the rate limit, mixed
+// priorities and deadlines through a 4-worker service. The serve
+// accounting invariant holds throughout: submitted == sum over
 // outcomes, and by_rung sums to the terminal count.
 
 #include <gtest/gtest.h>
@@ -599,7 +600,7 @@ TEST(OverloadServiceTest, SaturatedLadderShedsAtAdmission) {
     EXPECT_TRUE(stats.balanced());
 }
 
-// ---- AERO_OVERLOAD=0 bitwise neutrality -------------------------------------
+// ---- disabled-controller bitwise neutrality ---------------------------------
 
 TEST(OverloadServiceTest, DisabledSwitchIsBitwiseNeutral) {
     ServiceConfig plain_config = basic_config();
@@ -612,13 +613,11 @@ TEST(OverloadServiceTest, DisabledSwitchIsBitwiseNeutral) {
         baseline = r.image;
     }
 
-    // Aggressive overload config, but the process switch is off: every
+    // Aggressive overload config, but the controller is disabled: every
     // result must match the plain service bit for bit.
-    const bool prev = overload_enabled();
-    set_overload_enabled(false);
     {
         ServiceConfig config = plain_config;
-        config.overload.enabled = true;
+        config.overload.enabled = false;
         config.overload.latency_target_ms = 1e-3;
         config.overload.interval_ms = 0.0;
         config.overload.load_smoothing = 1.0;
@@ -637,7 +636,6 @@ TEST(OverloadServiceTest, DisabledSwitchIsBitwiseNeutral) {
         }
         EXPECT_TRUE(service.stats().balanced());
     }
-    set_overload_enabled(prev);
 }
 
 // ---- chaos soak (TSan-covered via scripts/check.sh) -------------------------

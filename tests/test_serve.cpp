@@ -31,6 +31,7 @@ using aero::core::PipelineConfig;
 using aero::core::Substrate;
 using aero::scene::AerialDataset;
 using aero::scene::DatasetConfig;
+using Kind = aero::diffusion::SamplerJob::Kind;
 
 const Substrate& shared_substrate() {
     static const Substrate substrate = [] {
@@ -98,13 +99,13 @@ TEST(ServeValidationTest, AcceptsGrammarCaptionsAndClampsRoi) {
               InvalidReason::kNone);
 
     // Partially out-of-bounds inpaint region is clamped, not rejected.
-    request.task = TaskKind::kInpaint;
-    request.region = {-4.0f, -4.0f, 12.0f, 12.0f};
+    request.task.kind = Kind::kInpaint;
+    request.task.region = {-4.0f, -4.0f, 12.0f, 12.0f};
     EXPECT_EQ(validate_request(request, limits, &message),
               InvalidReason::kNone);
-    EXPECT_GE(request.region.x, 0.0f);
-    EXPECT_GE(request.region.y, 0.0f);
-    EXPECT_LE(request.region.x + request.region.w,
+    EXPECT_GE(request.task.region.x, 0.0f);
+    EXPECT_GE(request.task.region.y, 0.0f);
+    EXPECT_LE(request.task.region.x + request.task.region.w,
               static_cast<float>(limits.image_size));
 }
 
@@ -154,32 +155,32 @@ TEST(ServeValidationTest, TypedRejections) {
               InvalidReason::kBadDeadline);
 
     request = valid_request();
-    request.task = TaskKind::kEdit;
-    request.strength = 0.0f;
+    request.task.kind = Kind::kEdit;
+    request.task.strength = 0.0f;
     EXPECT_EQ(validate_request(request, limits, &message),
               InvalidReason::kBadStrength);
 
     // Non-finite strengths must die here: NaN sails through std::clamp,
     // and downstream it would reach a float -> size_t cast (UB).
     request = valid_request();
-    request.task = TaskKind::kEdit;
-    request.strength = std::numeric_limits<float>::quiet_NaN();
+    request.task.kind = Kind::kEdit;
+    request.task.strength = std::numeric_limits<float>::quiet_NaN();
     EXPECT_EQ(validate_request(request, limits, &message),
               InvalidReason::kBadStrength);
-    request.strength = std::numeric_limits<float>::infinity();
+    request.task.strength = std::numeric_limits<float>::infinity();
     EXPECT_EQ(validate_request(request, limits, &message),
               InvalidReason::kBadStrength);
 
     request = valid_request();
-    request.task = TaskKind::kInpaint;
-    request.region = {200.0f, 200.0f, 4.0f, 4.0f};  // fully outside
+    request.task.kind = Kind::kInpaint;
+    request.task.region = {200.0f, 200.0f, 4.0f, 4.0f};  // fully outside
     EXPECT_EQ(validate_request(request, limits, &message),
               InvalidReason::kBadRegion);
 
     request = valid_request();
-    request.task = TaskKind::kInpaint;
-    request.region = {2.0f, 2.0f, std::numeric_limits<float>::quiet_NaN(),
-                      4.0f};
+    request.task.kind = Kind::kInpaint;
+    request.task.region = {2.0f, 2.0f,
+                           std::numeric_limits<float>::quiet_NaN(), 4.0f};
     EXPECT_EQ(validate_request(request, limits, &message),
               InvalidReason::kBadRegion);
 }
@@ -199,15 +200,16 @@ TEST(ServeValidationTest, FuzzGarbageNeverCrashes) {
         }
 
         InferenceRequest request = valid_request();
-        request.task = static_cast<TaskKind>(rng.uniform_int(0, 2));
+        request.task.kind = static_cast<Kind>(rng.uniform_int(0, 2));
         request.source_caption = garbage;
         request.target_caption = garbage;
-        request.strength = static_cast<float>(rng.uniform(-2.0, 2.0));
+        request.task.strength = static_cast<float>(rng.uniform(-2.0, 2.0));
         request.deadline_ms = rng.uniform(-1e9, 1e9);
-        request.region = {static_cast<float>(rng.uniform(-100.0, 100.0)),
-                          static_cast<float>(rng.uniform(-100.0, 100.0)),
-                          static_cast<float>(rng.uniform(-50.0, 50.0)),
-                          static_cast<float>(rng.uniform(-50.0, 50.0))};
+        request.task.region = {
+            static_cast<float>(rng.uniform(-100.0, 100.0)),
+            static_cast<float>(rng.uniform(-100.0, 100.0)),
+            static_cast<float>(rng.uniform(-50.0, 50.0)),
+            static_cast<float>(rng.uniform(-50.0, 50.0))};
         std::string message;
         (void)validate_request(request, limits, &message);
 
@@ -248,7 +250,10 @@ TEST(PipelineHardeningTest, RejectsNonFiniteReference) {
 
     // Control-free call sites get an empty image, not UB.
     EXPECT_TRUE(pipeline.generate(bad, "a", "a", rng).empty());
-    EXPECT_TRUE(pipeline.generate_edit(bad, "a", "a", 0.5f, rng).empty());
+    EXPECT_TRUE(pipeline
+                    .generate(bad, "a", "a", rng, -1, nullptr,
+                              {.kind = Kind::kEdit})
+                    .empty());
 }
 
 TEST(PipelineHardeningTest, RejectsWrongSizeReference) {
@@ -297,13 +302,15 @@ TEST(PipelineHardeningTest, InpaintWithWildRegionIsSafe) {
     // Fully outside: typed rejection, empty image.
     core::GenerateControl control;
     EXPECT_TRUE(pipeline
-                    .generate_inpaint(sample, {900.0f, 900.0f, 5.0f, 5.0f},
-                                      "a", "a", rng, -1, &control)
+                    .generate(sample, "a", "a", rng, -1, &control,
+                              {.kind = Kind::kInpaint,
+                               .region = {900.0f, 900.0f, 5.0f, 5.0f}})
                     .empty());
     EXPECT_FALSE(control.error.empty());
     // Partially outside: clamped and rendered.
-    const image::Image out = pipeline.generate_inpaint(
-        sample, {-10.0f, -10.0f, 20.0f, 20.0f}, "a", "a", rng);
+    const image::Image out = pipeline.generate(
+        sample, "a", "a", rng, -1, nullptr,
+        {.kind = Kind::kInpaint, .region = {-10.0f, -10.0f, 20.0f, 20.0f}});
     expect_finite_image(out, shared_substrate().budget.image_size);
 }
 
@@ -491,8 +498,9 @@ TEST(InferenceServiceTest, PipelineRejectsNonFiniteEditStrength) {
     for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity()}) {
         core::GenerateControl control;
-        const image::Image out = shared_pipeline().generate_edit(
-            reference, caption, caption, bad, rng, -1, &control);
+        const image::Image out = shared_pipeline().generate(
+            reference, caption, caption, rng, -1, &control,
+            {.kind = Kind::kEdit, .strength = bad});
         EXPECT_TRUE(out.empty());
         EXPECT_FALSE(control.error.empty());
     }
@@ -510,11 +518,11 @@ TEST(InferenceServiceTest, BatchedOutputBitwiseEqualsSequential) {
         for (int i = 0; i < 6; ++i) {
             InferenceRequest request = valid_request(500 + i, i);
             if (i % 3 == 1) {
-                request.task = TaskKind::kEdit;
-                request.strength = 0.5f;
+                request.task.kind = Kind::kEdit;
+                request.task.strength = 0.5f;
             } else if (i % 3 == 2) {
-                request.task = TaskKind::kInpaint;
-                request.region = {2.0f, 2.0f, 8.0f, 8.0f};
+                request.task.kind = Kind::kInpaint;
+                request.task.region = {2.0f, 2.0f, 8.0f, 8.0f};
             }
             batch.push_back(std::move(request));
         }
@@ -524,8 +532,7 @@ TEST(InferenceServiceTest, BatchedOutputBitwiseEqualsSequential) {
     const auto run = [&](bool batched) {
         ServiceConfig config = basic_config();
         config.workers = batched ? 4 : 2;
-        config.batch.enabled = batched;
-        config.batch.batch_max = 4;
+        config.batch.batch_max = batched ? 4 : 1;
         InferenceService service(shared_pipeline(), config);
         std::vector<std::future<RequestResult>> futures;
         for (InferenceRequest& request : requests()) {
@@ -812,12 +819,12 @@ TEST(InferenceServiceTest, FaultInjectionSoak) {
                 request.deadline_ms = 0.01;
                 break;
             case 7:
-                request.task = TaskKind::kEdit;
-                request.strength = 0.4f;
+                request.task.kind = Kind::kEdit;
+                request.task.strength = 0.4f;
                 break;
             case 8:
-                request.task = TaskKind::kInpaint;
-                request.region = {4.0f, 4.0f, 12.0f, 12.0f};
+                request.task.kind = Kind::kInpaint;
+                request.task.region = {4.0f, 4.0f, 12.0f, 12.0f};
                 break;
             default: break;
         }
