@@ -46,8 +46,9 @@ if [ "${SANITIZE}" = "thread" ]; then
     # against the fault-injected service (DESIGN.md §12);
     # test_overload races the admission controller, priority queues and
     # the overload_spike chaos soak (DESIGN.md §14);
-    # test_sync races the runtime lock-order validator and pins its
-    # consistent-order path TSan-clean (DESIGN.md §15);
+    # test_sync pins TSan's deadlock detector as the run-time
+    # lock-order check: an inverted util::Mutex pair must be reported
+    # (DESIGN.md §15);
     # test_batch races worker threads against the continuous step
     # batcher's driver thread, including a shutdown-drain stress
     # (DESIGN.md §16);
@@ -63,7 +64,8 @@ else
     # sanitizers cannot see ordering bugs there, so always race-check
     # the obs + serve suites under TSan as well, plus test_parallel:
     # the tensor kernels' parallel_for splits (the conv2d lane groups
-    # among them) are only race-checked there.
+    # among them) are only race-checked there. test_sync checks that
+    # TSan reports an inverted util::Mutex pair (DESIGN.md §15).
     echo "== sanitizer pass: AERO_SANITIZE=thread (obs/serve/parallel) =="
     cmake -B build-san-thread -S . -DAERO_SANITIZE=thread >/dev/null
     cmake --build build-san-thread -j "${JOBS}"

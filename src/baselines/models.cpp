@@ -42,7 +42,6 @@ DdpmBaseline::DdpmBaseline(const core::Substrate& substrate, util::Rng& rng)
       unet_(pixel_unet_config(substrate), rng) {}
 
 void DdpmBaseline::fit(util::Rng& rng) {
-    const int size = substrate_->budget.image_size;
     std::vector<tensor::Tensor> pixels;
     std::vector<tensor::Tensor> no_cond;
     pixels.reserve(substrate_->dataset->train().size());
@@ -59,7 +58,6 @@ void DdpmBaseline::fit(util::Rng& rng) {
                                                   no_cond, config, rng);
     util::log_info() << "DDPM: diffusion loss " << stats.first_loss << " -> "
                      << stats.tail_loss;
-    (void)size;
 }
 
 image::Image DdpmBaseline::generate(const scene::AerialSample& reference,

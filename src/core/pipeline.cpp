@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "nn/ema.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,8 +15,6 @@
 #include "util/strings.hpp"
 
 namespace aero::core {
-
-namespace ag = aero::autograd;
 
 PipelineConfig PipelineConfig::aero_diffusion() { return PipelineConfig{}; }
 
@@ -239,13 +236,12 @@ diffusion::DiffusionTrainStats AeroDiffusionPipeline::fit(util::Rng& rng) {
 
     // Cache frozen-encoder features per training sample (G' == G during
     // training: the model learns to reconstruct the described scene).
-    train_features_.clear();
-    train_features_.reserve(train_split.size());
+    std::vector<ConditionFeatures> features;
+    features.reserve(train_split.size());
     for (std::size_t i = 0; i < train_split.size(); ++i) {
-        train_features_.push_back(features_for(train_split[i],
-                                               captions[i].text,
-                                               captions[i].text,
-                                               static_cast<int>(i), true));
+        features.push_back(features_for(train_split[i], captions[i].text,
+                                        captions[i].text,
+                                        static_cast<int>(i), true));
     }
 
     // Joint optimisation of theta (UNet) and the condition parameters.
@@ -254,122 +250,53 @@ diffusion::DiffusionTrainStats AeroDiffusionPipeline::fit(util::Rng& rng) {
         const std::vector<Var> cond_params = condition_encoder_.parameters();
         params.insert(params.end(), cond_params.begin(), cond_params.end());
     }
-    nn::Adam opt(params, {.lr = config_.lr, .weight_decay = 1e-5f});
 
+    // Loaded before training starts, so the EMA shadow and the
+    // sentinel's good-state snapshot both start from the restored weights.
     int start_step = 0;
     if (config_.resume && !config_.checkpoint_path.empty() &&
         load_checkpoint(config_.checkpoint_path, &start_step)) {
         util::log_info() << config_.name << ": resumed from checkpoint at step "
                          << start_step;
     }
-    // Built AFTER any resume load so the EMA shadow and the sentinel's
-    // good-state snapshot both start from the restored weights.
-    nn::Ema ema(params, /*decay=*/0.99f);
-    diffusion::DivergenceSentinel sentinel(params, opt, config_.sentinel);
-    util::FaultInjector* injector = config_.fault_injector;
 
     const Budget& budget = substrate_->budget;
-    const std::vector<int>& latent_shape =
-        substrate_->train_latents.front().shape();
-    const int c = latent_shape[0];
-    const int h = latent_shape[1];
-    const int w = latent_shape[2];
-    const int batch = std::min<int>(budget.batch_size,
-                                    static_cast<int>(train_split.size()));
-
-    diffusion::DiffusionTrainStats stats;
-    double tail_sum = 0.0;
-    int tail_count = 0;
-    bool first_recorded = false;
-    for (int step = start_step; step < budget.diffusion_steps; ++step) {
-        diffusion::inject_param_fault(injector, step, params);
-
-        std::vector<Tensor> noisy;
-        std::vector<Tensor> noise;
-        std::vector<int> timesteps;
-        std::vector<Var> conds;
-        for (int b = 0; b < batch; ++b) {
-            const int i = rng.uniform_int(
-                0, static_cast<int>(train_split.size()) - 1);
-            const int t = rng.uniform_int(0, schedule_.steps() - 1);
-            const Tensor eps = Tensor::randn(latent_shape, rng);
-            const Tensor& z0 =
-                substrate_->train_latents[static_cast<std::size_t>(i)];
-            noisy.push_back(
-                schedule_.q_sample(z0, t, eps).reshaped({1, c, h, w}));
-            noise.push_back(schedule_.training_target(
-                z0, eps, t, config_.parameterization));
-            timesteps.push_back(t);
-
-            if (rng.bernoulli(config_.condition_dropout)) {
-                conds.emplace_back();  // null token (CFG dropout)
-                continue;
-            }
-            ConditionFeatures features =
-                train_features_[static_cast<std::size_t>(i)];
-            if (config_.variant == ModelVariant::kVersatile &&
-                rng.bernoulli(0.5)) {
-                // Multi-flow training: the text slot sometimes carries the
-                // image embedding instead (Versatile's shared core).
-                features.clip_text = features.clip_image;
-            }
-            conds.push_back(condition_encoder_.encode(features));
+    const diffusion::DiffusionTrainConfig train_config{
+        .steps = budget.diffusion_steps,
+        .batch_size = budget.batch_size,
+        .lr = config_.lr,
+        .condition_dropout = config_.condition_dropout,
+        .parameterization = config_.parameterization,
+        .grad_clip = config_.grad_clip,
+        .sentinel = config_.sentinel,
+        .fault_injector = config_.fault_injector,
+    };
+    const diffusion::TrainCondition condition = [&](int i, util::Rng& draw) {
+        ConditionFeatures sample = features[static_cast<std::size_t>(i)];
+        if (config_.variant == ModelVariant::kVersatile &&
+            draw.bernoulli(0.5)) {
+            // Multi-flow training: the text slot sometimes carries the
+            // image embedding instead (Versatile's shared core).
+            sample.clip_text = sample.clip_image;
         }
-
-        const Var z_t = Var::constant(tensor::concat(noisy, 0));
-        const Var target = Var::constant(
-            tensor::concat(noise, 0).reshaped({batch, c, h, w}));
-
-        opt.zero_grad();
-        const Var eps_pred =
-            unet_.forward(z_t, timesteps, schedule_.steps(), conds);
-        const Var loss = ag::mse_loss(eps_pred, target);  // Eq. 6
-        loss.backward();
-        diffusion::inject_grad_fault(injector, step, params);
-        const float grad_norm = opt.clip_grad_norm(config_.grad_clip);
-        const float value =
-            diffusion::inject_loss_fault(injector, step, loss.value()[0]);
-
-        // The sentinel rules before the update lands: a poisoned or
-        // spiking step is rolled back (joint UNet + condition-encoder
-        // state) instead of applied.
-        const auto action = sentinel.observe(step, value, grad_norm);
-        if (action == diffusion::DivergenceSentinel::Action::kAbort) break;
-        if (action == diffusion::DivergenceSentinel::Action::kRollback) {
-            continue;
+        return condition_encoder_.encode(sample);
+    };
+    const auto checkpoint = [&](int steps_done) {
+        if (config_.checkpoint_path.empty() ||
+            config_.checkpoint_interval <= 0 ||
+            steps_done % config_.checkpoint_interval != 0) {
+            return;
         }
-
-        opt.step();
-        ema.update();
-
-        if (!first_recorded) {
-            stats.first_loss = value;
-            first_recorded = true;
+        if (!save_checkpoint(config_.checkpoint_path, steps_done)) {
+            util::log_warn() << config_.name << ": periodic checkpoint at step "
+                             << steps_done << " failed to write "
+                             << config_.checkpoint_path
+                             << "; training continues";
         }
-        stats.final_loss = value;
-        if (step >= budget.diffusion_steps * 3 / 4) {
-            tail_sum += value;
-            ++tail_count;
-        }
-
-        if (!config_.checkpoint_path.empty() &&
-            config_.checkpoint_interval > 0 &&
-            (step + 1) % config_.checkpoint_interval == 0) {
-            if (!save_checkpoint(config_.checkpoint_path, step + 1)) {
-                util::log_warn()
-                    << config_.name << ": periodic checkpoint at step "
-                    << (step + 1) << " failed to write "
-                    << config_.checkpoint_path << "; training continues";
-            }
-        }
-    }
-    if (tail_count > 0) {
-        stats.tail_loss = static_cast<float>(tail_sum / tail_count);
-    }
-    stats.nan_events = sentinel.nan_events();
-    stats.rollbacks = sentinel.rollbacks();
-    stats.diverged = sentinel.diverged();
-    if (!stats.diverged) ema.apply();  // sample from the averaged weights
+    };
+    const diffusion::DiffusionTrainStats stats = diffusion::train_diffusion(
+        unet_, schedule_, substrate_->train_latents, std::move(params),
+        condition, train_config, rng, start_step, checkpoint);
     condition_cache_.invalidate_all();
     util::log_info() << config_.name << ": diffusion loss "
                      << stats.first_loss << " -> " << stats.tail_loss;

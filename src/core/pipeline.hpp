@@ -258,7 +258,6 @@ private:
     diffusion::NoiseSchedule schedule_;
     diffusion::UNet unet_;
     ConditionEncoder condition_encoder_;
-    std::vector<ConditionFeatures> train_features_;
     mutable mem::ConditionCache<Tensor> condition_cache_;
 };
 

@@ -13,15 +13,14 @@ namespace ag = aero::autograd;
 
 DiffusionTrainStats train_diffusion(
     UNet& unet, const NoiseSchedule& schedule,
-    const std::vector<Tensor>& latents,
-    const std::vector<Tensor>& condition_tokens,
-    const DiffusionTrainConfig& config, util::Rng& rng) {
+    const std::vector<Tensor>& latents, std::vector<Var> params,
+    const TrainCondition& condition, const DiffusionTrainConfig& config,
+    util::Rng& rng, int first_step,
+    const std::function<void(int steps_done)>& after_step) {
     assert(!latents.empty());
-    assert(latents.size() == condition_tokens.size());
     const std::vector<int>& latent_shape = latents.front().shape();
     assert(latent_shape.size() == 3);
 
-    std::vector<autograd::Var> params = unet.parameters();
     nn::Adam opt(params,
                  {.lr = config.lr, .weight_decay = config.weight_decay});
     std::unique_ptr<nn::Ema> ema;
@@ -41,13 +40,13 @@ DiffusionTrainStats train_diffusion(
     const int h = latent_shape[1];
     const int w = latent_shape[2];
 
-    for (int step = 0; step < config.steps; ++step) {
+    for (int step = first_step; step < config.steps; ++step) {
         inject_param_fault(injector, step, params);
 
         std::vector<Tensor> noisy;
         std::vector<Tensor> noise;
         std::vector<int> timesteps;
-        std::vector<Tensor> batch_cond;
+        std::vector<Var> batch_cond;
         noisy.reserve(static_cast<std::size_t>(batch));
         for (int b = 0; b < batch; ++b) {
             const int i =
@@ -62,10 +61,11 @@ DiffusionTrainStats train_diffusion(
                 latents[static_cast<std::size_t>(i)], eps, t,
                 config.parameterization));
             timesteps.push_back(t);
-            const bool drop = rng.bernoulli(config.condition_dropout);
-            batch_cond.push_back(
-                drop ? Tensor()
-                     : condition_tokens[static_cast<std::size_t>(i)]);
+            if (rng.bernoulli(config.condition_dropout)) {
+                batch_cond.emplace_back();  // null token (CFG dropout)
+            } else {
+                batch_cond.push_back(condition(i, rng));
+            }
         }
         const Var z_t = Var::constant(tensor::concat(noisy, 0));
         const Var target = Var::constant(
@@ -82,8 +82,9 @@ DiffusionTrainStats train_diffusion(
             inject_loss_fault(injector, step, loss.value()[0]);
 
         // The sentinel rules before the update lands: a poisoned or
-        // spiking step is rolled back instead of applied, so neither the
-        // weights nor the EMA shadow ever absorb it.
+        // spiking step is rolled back (every trained parameter, UNet and
+        // condition alike) instead of applied, so neither the weights nor
+        // the EMA shadow ever absorb it.
         const auto action = sentinel.observe(step, value, grad_norm);
         if (action == DivergenceSentinel::Action::kAbort) break;
         if (action == DivergenceSentinel::Action::kRollback) continue;
@@ -100,6 +101,7 @@ DiffusionTrainStats train_diffusion(
             tail_sum += value;
             ++tail_count;
         }
+        if (after_step) after_step(step + 1);
     }
     if (tail_count > 0) {
         stats.tail_loss = static_cast<float>(tail_sum / tail_count);
@@ -109,6 +111,21 @@ DiffusionTrainStats train_diffusion(
     stats.diverged = sentinel.diverged();
     if (ema && !stats.diverged) ema->apply();  // sample the averaged weights
     return stats;
+}
+
+DiffusionTrainStats train_diffusion(
+    UNet& unet, const NoiseSchedule& schedule,
+    const std::vector<Tensor>& latents,
+    const std::vector<Tensor>& condition_tokens,
+    const DiffusionTrainConfig& config, util::Rng& rng) {
+    assert(latents.size() == condition_tokens.size());
+    const TrainCondition condition = [&](int index, util::Rng&) {
+        const Tensor& tokens =
+            condition_tokens[static_cast<std::size_t>(index)];
+        return tokens.empty() ? Var() : Var::constant(tokens);
+    };
+    return train_diffusion(unet, schedule, latents, unet.parameters(),
+                           condition, config, rng);
 }
 
 }  // namespace aero::diffusion

@@ -3,6 +3,10 @@
 //   L = E_{z0, eps, t, C} || eps - eps_theta(z_t, t, C) ||^2
 // with classifier-free-guidance condition dropout and a divergence
 // sentinel (NaN/spike detection, snapshot rollback) guarding every step.
+// It is the only Eq. 6 loop: core::AeroDiffusionPipeline::fit() runs it
+// with the condition encoder trained jointly with the UNet.
+
+#include <functional>
 
 #include "diffusion/schedule.hpp"
 #include "diffusion/sentinel.hpp"
@@ -49,9 +53,26 @@ struct DiffusionTrainStats {
     bool diverged = false;
 };
 
-/// Trains `unet` on pre-encoded latents ([C,H,W] each) and their
-/// per-sample condition token matrices ([K_i, cond_dim]; empty tensors
-/// mean "always unconditional").
+/// Builds the condition rows of training sample `index` ([K, cond_dim];
+/// an undefined Var selects the null token). The loop calls it only when
+/// the dropout draw keeps the condition, and it may draw from `rng` after
+/// that draw.
+using TrainCondition = std::function<Var(int index, util::Rng& rng)>;
+
+/// Trains `params` (the UNet's, plus any condition parameters optimised
+/// jointly with it) on pre-encoded latents ([C,H,W] each). Runs steps
+/// [first_step, config.steps) and calls `after_step(step + 1)` after each
+/// applied update, never after a rollback or the abort.
+DiffusionTrainStats train_diffusion(
+    UNet& unet, const NoiseSchedule& schedule,
+    const std::vector<Tensor>& latents, std::vector<Var> params,
+    const TrainCondition& condition, const DiffusionTrainConfig& config,
+    util::Rng& rng, int first_step = 0,
+    const std::function<void(int steps_done)>& after_step = {});
+
+/// Trains `unet` alone on pre-encoded latents and their fixed per-sample
+/// condition token matrices ([K_i, cond_dim]; empty tensors mean "always
+/// unconditional").
 DiffusionTrainStats train_diffusion(
     UNet& unet, const NoiseSchedule& schedule,
     const std::vector<Tensor>& latents,

@@ -37,11 +37,6 @@ inline constexpr FaultPoint kFaultPoints[] = {
      "service worker: feeds the admission controller a synthetic latency "
      "spike at dequeue (spike_factor x latency target), deterministically "
      "driving an AIMD decrease and degradation-ladder escalation in soaks"},
-    {"lock_order_invert",
-     "test_sync: flips a two-mutex acquisition to the inverted order so "
-     "the runtime lock-order validator (AERO_LOCK_ORDER, DESIGN.md "
-     "section 15) must report the cycle; off, both threads acquire in "
-     "the declared order and the test runs TSan-clean"},
 };
 
 inline constexpr int kNumFaultPoints =

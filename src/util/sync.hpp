@@ -2,9 +2,8 @@
 // Annotated synchronisation primitives: a std::mutex whose type carries
 // the AERO_CAPABILITY annotation so Clang's -Wthread-safety analysis can
 // check AERO_GUARDED_BY contracts on any standard library (libstdc++'s
-// std::mutex is not annotated). Off Clang the annotations compile away;
-// the only residual cost per lock/unlock is one relaxed atomic load for
-// the runtime lock-order validator gate (below).
+// std::mutex is not annotated). Off Clang the annotations compile away
+// and the wrappers cost exactly a std::mutex.
 //
 // Usage (see src/serve/service.hpp for the full idiom):
 //
@@ -21,117 +20,30 @@
 // AERO_NO_THREAD_SAFETY_ANALYSIS because the analysis cannot follow a
 // lock that is released and re-acquired inside wait().
 //
-// ---- Runtime lock-order validation (AERO_LOCK_ORDER=1) --------------
-//
-// The static lock-order pass in tools/aero_lint approximates the lock
-// graph syntactically; the runtime validator closes the gap for orders
-// it cannot see (locks reached through function pointers, data-
-// dependent paths). When AERO_LOCK_ORDER=1 every Mutex acquisition
-// pushes onto a per-thread held-lock stack and records an ordering edge
-// (top-of-stack -> acquired) into a global acquisition-edge graph. An
-// edge that closes a cycle — this thread acquires B while holding A
-// after some thread acquired A while holding B — is a potential
-// deadlock: the validator reports BOTH lock stacks (the current
-// thread's and the one snapshotted when the conflicting edge was first
-// recorded), bumps lock_order::violation_count(), and keeps running so
-// a test can assert on the report. Re-acquiring a held mutex
-// (guaranteed self-deadlock on std::mutex) is reported the same way.
-//
-// When the env var is unset the entire machinery is one relaxed atomic
-// load per lock()/unlock(); nothing is recorded and no internal mutex
-// is ever touched. CondVar waits are tracked correctly because the
-// hooks live on Mutex itself: wait()'s internal unlock/relock pops and
-// re-pushes the held stack.
+// Lock order is checked statically by the lock-order pass of
+// tools/aero_lint and at run time by TSan's deadlock detector
+// (DESIGN.md §15).
 
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <string>
 
 #include "util/annotations.hpp"
 
 namespace aero::util {
 
-class Mutex;
-
-namespace lock_order {
-
-/// -1 = not yet initialised from the environment, 0 = off, 1 = on.
-/// Exposed so Mutex's hot path can gate on one relaxed load.
-extern std::atomic<int> g_state;
-
-/// Slow path: reads AERO_LOCK_ORDER once and caches into g_state.
-bool init_from_env();
-
-/// True when the validator is active. One relaxed load after the first
-/// call (the acceptance contract for AERO_LOCK_ORDER unset).
-inline bool enabled() {
-    const int state = g_state.load(std::memory_order_relaxed);
-    if (state >= 0) return state != 0;
-    return init_from_env();
-}
-
-/// Test hook: force the validator on/off regardless of the environment
-/// (ctest processes do not carry AERO_LOCK_ORDER).
-void set_enabled_for_testing(bool on);
-
-/// Acquisition hooks, called by Mutex when enabled(). `on_acquire` runs
-/// BEFORE the underlying lock blocks, so an inversion is reported even
-/// when it would deadlock for real.
-void on_acquire(const Mutex* mutex, const char* name);
-void on_try_acquire(const Mutex* mutex, const char* name);
-void on_release(const Mutex* mutex);
-void on_destroy(const Mutex* mutex);
-
-/// Number of inversions (cycles or re-acquisitions) reported so far.
-int violation_count();
-
-/// Human-readable report of the most recent violation ("" when none):
-/// both lock stacks with mutex names and thread ids.
-std::string last_report();
-
-/// Test hook: clears the edge graph, the violation counter and the
-/// last report. Call with all tracked threads joined.
-void reset();
-
-}  // namespace lock_order
-
 /// std::mutex with a capability annotation. Satisfies BasicLockable, so
-/// std::unique_lock<Mutex> and CondVar::wait work unchanged. The
-/// optional name labels the mutex in lock-order violation reports;
-/// unnamed mutexes report as their address.
+/// std::unique_lock<Mutex> and CondVar::wait work unchanged.
 class AERO_CAPABILITY("mutex") Mutex {
 public:
     Mutex() = default;
-    explicit Mutex(const char* name) : name_(name) {}
-    ~Mutex() {
-        if (lock_order::enabled()) lock_order::on_destroy(this);
-    }
     Mutex(const Mutex&) = delete;
     Mutex& operator=(const Mutex&) = delete;
 
-    void lock() AERO_ACQUIRE() {
-        if (lock_order::enabled()) lock_order::on_acquire(this, name_);
-        mutex_.lock();
-    }
-    void unlock() AERO_RELEASE() {
-        mutex_.unlock();
-        if (lock_order::enabled()) lock_order::on_release(this);
-    }
-    bool try_lock() AERO_TRY_ACQUIRE(true) {
-        const bool acquired = mutex_.try_lock();
-        // A successful try_lock orders later blocking acquisitions (it
-        // is pushed as held) but records no edge itself: a try_lock
-        // cannot block, so it cannot be a deadlock victim.
-        if (acquired && lock_order::enabled()) {
-            lock_order::on_try_acquire(this, name_);
-        }
-        return acquired;
-    }
+    void lock() AERO_ACQUIRE() { mutex_.lock(); }
+    void unlock() AERO_RELEASE() { mutex_.unlock(); }
 
 private:
     std::mutex mutex_;
-    const char* name_ = nullptr;
 };
 
 /// Scoped lock over Mutex (std::lock_guard cannot carry the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -13,6 +14,8 @@
 #include "core/pipeline.hpp"
 #include "core/substrate.hpp"
 #include "metrics/metrics.hpp"
+#include "nn/ema.hpp"
+#include "nn/serialize.hpp"
 #include "tensor/ops.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
@@ -501,6 +504,247 @@ TEST(PipelineTest, NanInjectionDuringFitRollsBackAndCompletes) {
     EXPECT_FALSE(stats.diverged);
     EXPECT_TRUE(std::isfinite(stats.tail_loss));
     EXPECT_GT(stats.tail_loss, 0.0f);
+}
+
+/// The UNet fields fit() trains with (the pipeline's unet_config_for).
+aero::diffusion::UNetConfig reference_unet_config(
+    const PipelineConfig& config) {
+    const Substrate& s = shared_substrate();
+    aero::diffusion::UNetConfig unet;
+    unet.in_channels = s.autoencoder->config().latent_channels;
+    unet.base_channels = config.unet_base_channels;
+    unet.cond_dim = s.embed_config.dim;
+    unet.time_dim = 32;
+    return unet;
+}
+
+/// fit()'s own Eq. 6 loop from before it ran diffusion::train_diffusion,
+/// kept as the reference for what fit() trains: `unet` and `encoder`
+/// jointly, from `start_step` on. With a `resume_path`, their weights are
+/// loaded from it after the optimizer is built, as that loop did. The
+/// variants tested here add no extra condition tokens.
+aero::diffusion::DiffusionTrainStats reference_fit(
+    const PipelineConfig& config, aero::diffusion::UNet& unet,
+    ConditionEncoder& encoder, aero::util::Rng& rng,
+    const std::string& resume_path = "", int start_step = 0) {
+    namespace ag = aero::autograd;
+    namespace diffusion = aero::diffusion;
+    using aero::autograd::Var;
+    using aero::tensor::Tensor;
+    const Substrate& s = shared_substrate();
+    const diffusion::NoiseSchedule schedule(
+        {s.budget.schedule_steps, 0.001f, 0.012f});
+    const auto& train_split = s.dataset->train();
+    const auto& captions =
+        config.use_keypoint_captions ? s.keypoint_train : s.generic_train;
+
+    std::vector<ConditionFeatures> train_features;
+    for (std::size_t i = 0; i < train_split.size(); ++i) {
+        train_features.push_back(compute_condition_features(
+            s, train_split[i], captions[i].text, captions[i].text,
+            config.use_object_detection, config.max_rois));
+    }
+
+    std::vector<Var> params = unet.parameters();
+    {
+        const std::vector<Var> cond_params = encoder.parameters();
+        params.insert(params.end(), cond_params.begin(), cond_params.end());
+    }
+    aero::nn::Adam opt(params, {.lr = config.lr, .weight_decay = 1e-5f});
+    if (!resume_path.empty()) {
+        EXPECT_TRUE(aero::nn::load_parameters(unet, resume_path + ".unet"));
+        EXPECT_TRUE(
+            aero::nn::load_parameters(encoder, resume_path + ".cond"));
+    }
+    aero::nn::Ema ema(params, /*decay=*/0.99f);
+    diffusion::DivergenceSentinel sentinel(params, opt, config.sentinel);
+    aero::util::FaultInjector* injector = config.fault_injector;
+
+    const std::vector<int>& latent_shape = s.train_latents.front().shape();
+    const int c = latent_shape[0];
+    const int h = latent_shape[1];
+    const int w = latent_shape[2];
+    const int batch = std::min<int>(s.budget.batch_size,
+                                    static_cast<int>(train_split.size()));
+
+    diffusion::DiffusionTrainStats stats;
+    double tail_sum = 0.0;
+    int tail_count = 0;
+    bool first_recorded = false;
+    for (int step = start_step; step < s.budget.diffusion_steps; ++step) {
+        diffusion::inject_param_fault(injector, step, params);
+
+        std::vector<Tensor> noisy;
+        std::vector<Tensor> noise;
+        std::vector<int> timesteps;
+        std::vector<Var> conds;
+        for (int b = 0; b < batch; ++b) {
+            const int i = rng.uniform_int(
+                0, static_cast<int>(train_split.size()) - 1);
+            const int t = rng.uniform_int(0, schedule.steps() - 1);
+            const Tensor eps = Tensor::randn(latent_shape, rng);
+            const Tensor& z0 = s.train_latents[static_cast<std::size_t>(i)];
+            noisy.push_back(
+                schedule.q_sample(z0, t, eps).reshaped({1, c, h, w}));
+            noise.push_back(schedule.training_target(
+                z0, eps, t, config.parameterization));
+            timesteps.push_back(t);
+
+            if (rng.bernoulli(config.condition_dropout)) {
+                conds.emplace_back();
+                continue;
+            }
+            ConditionFeatures features =
+                train_features[static_cast<std::size_t>(i)];
+            if (config.variant == ModelVariant::kVersatile &&
+                rng.bernoulli(0.5)) {
+                features.clip_text = features.clip_image;
+            }
+            conds.push_back(encoder.encode(features));
+        }
+
+        const Var z_t = Var::constant(aero::tensor::concat(noisy, 0));
+        const Var target = Var::constant(
+            aero::tensor::concat(noise, 0).reshaped({batch, c, h, w}));
+
+        opt.zero_grad();
+        const Var eps_pred =
+            unet.forward(z_t, timesteps, schedule.steps(), conds);
+        const Var loss = ag::mse_loss(eps_pred, target);
+        loss.backward();
+        diffusion::inject_grad_fault(injector, step, params);
+        const float grad_norm = opt.clip_grad_norm(config.grad_clip);
+        const float value =
+            diffusion::inject_loss_fault(injector, step, loss.value()[0]);
+
+        const auto action = sentinel.observe(step, value, grad_norm);
+        if (action == diffusion::DivergenceSentinel::Action::kAbort) break;
+        if (action == diffusion::DivergenceSentinel::Action::kRollback) {
+            continue;
+        }
+
+        opt.step();
+        ema.update();
+
+        if (!first_recorded) {
+            stats.first_loss = value;
+            first_recorded = true;
+        }
+        stats.final_loss = value;
+        if (step >= s.budget.diffusion_steps * 3 / 4) {
+            tail_sum += value;
+            ++tail_count;
+        }
+    }
+    if (tail_count > 0) {
+        stats.tail_loss = static_cast<float>(tail_sum / tail_count);
+    }
+    stats.nan_events = sentinel.nan_events();
+    stats.rollbacks = sentinel.rollbacks();
+    stats.diverged = sentinel.diverged();
+    if (!stats.diverged) ema.apply();
+    return stats;
+}
+
+void expect_same_weights(const std::vector<aero::autograd::Var>& got,
+                         const std::vector<aero::autograd::Var>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const aero::tensor::Tensor& a = got[i].value();
+        const aero::tensor::Tensor& b = want[i].value();
+        ASSERT_EQ(a.shape(), b.shape()) << "parameter " << i;
+        EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                              static_cast<std::size_t>(a.size()) *
+                                  sizeof(float)),
+                  0)
+            << "parameter " << i;
+    }
+}
+
+/// Trains one pipeline with fit() and a twin UNet + encoder with
+/// reference_fit(), both built and trained from one seed, and asserts the
+/// two end bit-identical: weights, loss stats and Rng post-state.
+/// `reference_injector` is armed like config.fault_injector; a resumed
+/// config's checkpoint holds `resume_step`. Returns fit()'s stats.
+aero::diffusion::DiffusionTrainStats expect_fit_matches_reference(
+    const PipelineConfig& config,
+    aero::util::FaultInjector* reference_injector = nullptr,
+    int resume_step = 0) {
+    const Substrate& s = shared_substrate();
+    aero::util::Rng rng_a(77);
+    AeroDiffusionPipeline pipeline(config, s, rng_a);
+    const auto got = pipeline.fit(rng_a);
+
+    PipelineConfig reference_config = config;
+    reference_config.fault_injector = reference_injector;
+    aero::util::Rng rng_b(77);
+    aero::diffusion::UNet unet(reference_unet_config(config), rng_b);
+    ConditionEncoder encoder(s.embed_config, config.use_blip_fusion,
+                             config.use_image_feature,
+                             config.use_object_detection, rng_b);
+    const auto want = reference_fit(
+        reference_config, unet, encoder, rng_b,
+        config.resume ? config.checkpoint_path : "", resume_step);
+
+    expect_same_weights(pipeline.unet().parameters(), unet.parameters());
+    expect_same_weights(pipeline.condition_encoder().parameters(),
+                        encoder.parameters());
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.first_loss),
+              std::bit_cast<std::uint32_t>(want.first_loss));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.final_loss),
+              std::bit_cast<std::uint32_t>(want.final_loss));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.tail_loss),
+              std::bit_cast<std::uint32_t>(want.tail_loss));
+    EXPECT_EQ(got.nan_events, want.nan_events);
+    EXPECT_EQ(got.rollbacks, want.rollbacks);
+    EXPECT_EQ(got.diverged, want.diverged);
+    // normal() first: it returns a cached Box-Muller value if one is left.
+    EXPECT_EQ(rng_a.normal(), rng_b.normal());
+    EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+    return got;
+}
+
+TEST(FitReferenceTest, AeroDiffusion) {
+    expect_fit_matches_reference(PipelineConfig::aero_diffusion());
+}
+
+TEST(FitReferenceTest, VersatileSwapDrawsAfterDropout) {
+    expect_fit_matches_reference(PipelineConfig::versatile_diffusion());
+}
+
+TEST(FitReferenceTest, FaultInjected) {
+    aero::util::FaultInjector injector(41);
+    aero::util::FaultInjector twin(41);
+    for (aero::util::FaultInjector* armed : {&injector, &twin}) {
+        armed->arm_nan(4, "param");
+        armed->arm_nan(12, "loss");
+        armed->arm_spike(20, 100.0f);
+    }
+    PipelineConfig config = PipelineConfig::aero_diffusion();
+    config.fault_injector = &injector;
+    config.sentinel.snapshot_interval = 2;
+    const auto stats = expect_fit_matches_reference(config, &twin);
+    EXPECT_EQ(twin.injected_count(), 3);
+    EXPECT_EQ(stats.nan_events, 2);
+    EXPECT_EQ(stats.rollbacks, 3);
+    EXPECT_FALSE(stats.diverged);
+}
+
+TEST(FitReferenceTest, ResumedFromStep7Checkpoint) {
+    const Substrate& s = shared_substrate();
+    const std::string path = testing::TempDir() + "/aero_fit_reference";
+    {
+        // Weights from another seed, so an ignored load shows.
+        aero::util::Rng rng(5);
+        const AeroDiffusionPipeline source(PipelineConfig::aero_diffusion(),
+                                           s, rng);
+        ASSERT_TRUE(source.save_checkpoint(path, 7));
+    }
+    PipelineConfig config = PipelineConfig::aero_diffusion();
+    config.checkpoint_path = path;
+    config.resume = true;
+    expect_fit_matches_reference(config, nullptr, 7);
+    remove_checkpoint(path);
 }
 
 TEST(PipelineTest, PoisonedConditionEncoderDegradesToUnconditional) {

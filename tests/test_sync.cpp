@@ -1,182 +1,59 @@
-// Runtime lock-order validator tests (util/sync, AERO_LOCK_ORDER).
+// Run-time lock-order check for util::Mutex: TSan's deadlock detector.
 //
-// The seeded-inversion regression drives two threads through a pair of
-// mutexes: the forward thread takes a -> b, the inverted thread —
-// gated on the "lock_order_invert" fault point — takes b -> a. With
-// the fault armed the validator must report the cycle with both lock
-// stacks; with the fault off both threads acquire in the declared
-// order concurrently and the whole suite runs TSan-clean.
+// Lock order is checked statically by the lock-order pass of aero_lint
+// and at run time by TSan (DESIGN.md §15). This suite pins the run-time
+// half. A death-test child takes a -> b on one thread and joins it, then
+// takes b -> a on a second thread. The two threads never overlap, so
+// nothing deadlocks, yet TSan must report the inverted pair and exit
+// with its default report code, 66. Outside a TSan build the test skips.
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <thread>
-#include <vector>
+#if defined(__SANITIZE_THREAD__)
+#define SYNC_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SYNC_TEST_TSAN 1
+#endif
+#endif
 
-#include "util/fault.hpp"
+#ifdef SYNC_TEST_TSAN
+#include <cstdlib>
+#include <thread>
+
 #include "util/sync.hpp"
+#endif
 
 namespace {
 
-using aero::util::FaultInjector;
+#ifdef SYNC_TEST_TSAN
 using aero::util::Mutex;
 using aero::util::MutexLock;
-namespace lock_order = aero::util::lock_order;
 
-/// RAII: turns the validator on for one test and restores the
-/// untracked default afterwards so unrelated suites stay zero-cost.
-class ScopedValidator {
-public:
-    ScopedValidator() {
-        lock_order::set_enabled_for_testing(true);
-        lock_order::reset();
-    }
-    ~ScopedValidator() {
-        lock_order::reset();
-        lock_order::set_enabled_for_testing(false);
-    }
-};
-
-TEST(LockOrder, SeededInversionReportsCycleWithBothStacks) {
-    const ScopedValidator validator;
-    FaultInjector injector;
-    injector.set_fail_rate("lock_order_invert", 1.0);
-
-    Mutex a("sync_test_a");
-    Mutex b("sync_test_b");
-    const auto forward = [&] {
-        const MutexLock la(a);
-        const MutexLock lb(b);
-    };
-    // Sequential threads: the inversion must be caught from the edge
-    // history alone, without ever constructing a real deadlock.
-    std::thread t1(forward);
-    t1.join();
-    std::thread t2([&] {
-        if (injector.should_fail("lock_order_invert")) {
-            const MutexLock lb(b);
-            const MutexLock la(a);
-        } else {
-            forward();
-        }
-    });
-    t2.join();
-
-    EXPECT_EQ(lock_order::violation_count(), 1);
-    const std::string report = lock_order::last_report();
-    EXPECT_NE(report.find("inversion"), std::string::npos);
-    EXPECT_NE(report.find("sync_test_a"), std::string::npos);
-    EXPECT_NE(report.find("sync_test_b"), std::string::npos);
-    // Both stacks appear: the inverted thread's and the forward one's.
-    EXPECT_NE(report.find("sync_test_b -> sync_test_a"), std::string::npos);
-    EXPECT_NE(report.find("sync_test_a -> sync_test_b"), std::string::npos);
+void lock_pair(Mutex& first, Mutex& second) {
+    const MutexLock outer(first);
+    const MutexLock inner(second);
 }
 
-TEST(LockOrder, ConsistentOrderAcrossThreadsIsClean) {
-    const ScopedValidator validator;
-    FaultInjector injector;
-    injector.set_fail_rate("lock_order_invert", 0.0);
-
-    Mutex a("sync_clean_a");
-    Mutex b("sync_clean_b");
-    const auto forward = [&] {
-        for (int i = 0; i < 200; ++i) {
-            const MutexLock la(a);
-            const MutexLock lb(b);
-        }
-    };
-    // Concurrent this time: same declared order on both threads is the
-    // TSan-clean configuration the satellite contract names.
-    std::thread t1(forward);
-    std::thread t2([&] {
-        for (int i = 0; i < 200; ++i) {
-            if (injector.should_fail("lock_order_invert")) {
-                const MutexLock lb(b);
-                const MutexLock la(a);
-            } else {
-                const MutexLock la(a);
-                const MutexLock lb(b);
-            }
-        }
-    });
-    t1.join();
-    t2.join();
-
-    EXPECT_EQ(lock_order::violation_count(), 0);
-    EXPECT_EQ(lock_order::last_report(), "");
+[[noreturn]] void lock_pair_both_ways() {
+    Mutex a;
+    Mutex b;
+    std::thread forward([&] { lock_pair(a, b); });
+    forward.join();
+    std::thread inverted([&] { lock_pair(b, a); });
+    inverted.join();
+    std::exit(0);
 }
+#endif
 
-TEST(LockOrder, ReacquisitionOfHeldMutexReported) {
-    const ScopedValidator validator;
-    Mutex m("sync_reacquire");
-    {
-        const MutexLock outer(m);
-        // Probe the validator directly instead of re-locking for real
-        // (that would self-deadlock the test binary): on_acquire runs
-        // before the underlying lock blocks, which is exactly the hook
-        // order Mutex::lock uses.
-        lock_order::on_acquire(&m, "sync_reacquire");
-        lock_order::on_release(&m);
-    }
-    EXPECT_EQ(lock_order::violation_count(), 1);
-    EXPECT_NE(lock_order::last_report().find("re-acquisition"),
-              std::string::npos);
-}
-
-TEST(LockOrder, ThreeLockCycleAcrossThreeThreadsReported) {
-    const ScopedValidator validator;
-    Mutex a("sync_tri_a");
-    Mutex b("sync_tri_b");
-    Mutex c("sync_tri_c");
-    const auto pair_order = [](Mutex& first, Mutex& second) {
-        const MutexLock l1(first);
-        const MutexLock l2(second);
-    };
-    std::thread t1([&] { pair_order(a, b); });
-    t1.join();
-    std::thread t2([&] { pair_order(b, c); });
-    t2.join();
-    EXPECT_EQ(lock_order::violation_count(), 0);
-    std::thread t3([&] { pair_order(c, a); });
-    t3.join();
-    EXPECT_EQ(lock_order::violation_count(), 1);
-    EXPECT_NE(lock_order::last_report().find("inversion"),
-              std::string::npos);
-}
-
-TEST(LockOrder, DestroyedMutexLeavesNoStaleEdges) {
-    const ScopedValidator validator;
-    Mutex a("sync_stale_a");
-    {
-        Mutex tmp("sync_stale_tmp");
-        const MutexLock la(a);
-        const MutexLock lt(tmp);
-    }  // tmp destroyed: its edges must not poison later cycles
-    Mutex fresh("sync_stale_fresh");
-    {
-        const MutexLock lf(fresh);
-        const MutexLock la(a);
-    }
-    EXPECT_EQ(lock_order::violation_count(), 0);
-}
-
-TEST(LockOrder, DisabledByDefaultAndRecordsNothing) {
-    // ctest processes do not set AERO_LOCK_ORDER, and the suite-wide
-    // default restored by ScopedValidator is off: acquisitions here
-    // must not be tracked at all.
-    ASSERT_FALSE(lock_order::enabled());
-    Mutex a("sync_off_a");
-    Mutex b("sync_off_b");
-    {
-        const MutexLock la(a);
-        const MutexLock lb(b);
-    }
-    {
-        const MutexLock lb(b);
-        const MutexLock la(a);
-    }
-    EXPECT_EQ(lock_order::violation_count(), 0);
-    EXPECT_EQ(lock_order::last_report(), "");
+TEST(LockOrder, TsanReportsInvertedMutexPair) {
+#ifdef SYNC_TEST_TSAN
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(lock_pair_both_ways(), ::testing::ExitedWithCode(66),
+                "lock-order-inversion");
+#else
+    GTEST_SKIP() << "needs a TSan build (-DAERO_SANITIZE=thread)";
+#endif
 }
 
 }  // namespace

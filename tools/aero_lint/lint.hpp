@@ -40,8 +40,8 @@
 //
 // Pass 3 — lock-order (lockorder.hpp): an approximate inter-procedural
 // lock graph over util::MutexLock acquisition sites; cycles are
-// potential deadlocks (rule lock-order). The runtime companion lives in
-// src/util/sync.{hpp,cpp} behind AERO_LOCK_ORDER=1.
+// potential deadlocks (rule lock-order). At run time, TSan's deadlock
+// detector checks the orders the TSan suites execute.
 //
 // Pass 4 — determinism (determinism.hpp): output-affecting directories
 // must not read entropy or wall clocks or iterate unordered containers

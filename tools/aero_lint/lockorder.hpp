@@ -5,8 +5,8 @@
 //
 // Approximations (documented in DESIGN.md §15):
 //   * Acquisitions are found syntactically; a lock reached through a
-//     function pointer or a macro is invisible (the runtime validator
-//     behind AERO_LOCK_ORDER covers those).
+//     function pointer or a macro is invisible (TSan's deadlock
+//     detector covers those on the paths the TSan suites run).
 //   * A mutex is identified by `<Class>::<member>` when acquired from a
 //     method of that class, else `<file-stem>:<function>::<expr>` —
 //     mutexes of the same class/member merge across instances (an
@@ -16,8 +16,8 @@
 //     scope adds edge A -> B (exactly RAII hold semantics; a CondVar
 //     wait that drops the lock mid-scope is treated as held). An
 //     explicit `<var>.unlock()` on the guard ends the hold there — a
-//     later re-lock() in the same scope is treated as not held (the
-//     runtime validator covers that shape).
+//     later re-lock() in the same scope is treated as not held (TSan
+//     covers that shape on the paths the TSan suites run).
 //   * A call under a held lock adds edges to everything the callee may
 //     lock. Callees resolve by base name: bare calls and `this->f()`
 //     prefer a method of the caller's own class, `obj.f()` / `p->f()`
