@@ -55,7 +55,6 @@ RunReport run_burst(const bench::Harness& harness,
     config.workers = streams;
     config.queue_capacity = static_cast<std::size_t>(requests);
     config.limits.image_size = harness.budget.image_size;
-    config.rate_limit = util::RateLimitConfig{};  // bench pins its own knobs
     config.batch.batch_max = batched ? streams : 1;
     serve::InferenceService service(pipeline, config);
 

@@ -44,8 +44,8 @@ if [ "${SANITIZE}" = "thread" ]; then
     # (DESIGN.md §11) from kernels up through full DDIM sampling;
     # test_obs races metric writers, span recording and live dumps
     # against the fault-injected service (DESIGN.md §12);
-    # test_overload races the admission controller, priority queues and
-    # the overload_spike chaos soak (DESIGN.md §14);
+    # test_serve races the admission path (rate limiter, priority
+    # FIFOs, bounded queue) in its fault-injection soak (DESIGN.md §9);
     # test_sync pins TSan's deadlock detector as the run-time
     # lock-order check: an inverted util::Mutex pair must be reported
     # (DESIGN.md §15);
@@ -56,7 +56,7 @@ if [ "${SANITIZE}" = "thread" ]; then
     # multiple threads and the condition cache through the threaded
     # serve stack (DESIGN.md §17).
     (cd "${SAN_DIR}" && ctest --output-on-failure -j "${JOBS}" \
-        -R 'test_serve|test_batch|test_overload|test_util|test_parallel|test_diffusion|test_obs|test_sync|test_mem' \
+        -R 'test_serve|test_batch|test_util|test_parallel|test_diffusion|test_obs|test_sync|test_mem' \
         "$@")
 else
     (cd "${SAN_DIR}" && ctest --output-on-failure -j "${JOBS}" "$@")
@@ -70,7 +70,7 @@ else
     cmake -B build-san-thread -S . -DAERO_SANITIZE=thread >/dev/null
     cmake --build build-san-thread -j "${JOBS}"
     (cd build-san-thread && ctest --output-on-failure -j "${JOBS}" \
-        -R 'test_obs|test_serve|test_batch|test_overload|test_sync|test_mem|test_parallel' "$@")
+        -R 'test_obs|test_serve|test_batch|test_sync|test_mem|test_parallel' "$@")
 fi
 
 # Opt-in bench gates (AERO_CHECK_BENCH=1): self-gating benches whose

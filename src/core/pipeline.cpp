@@ -306,16 +306,9 @@ diffusion::DiffusionTrainStats AeroDiffusionPipeline::fit(util::Rng& rng) {
 namespace {
 
 diffusion::DdimConfig ddim_config_for(const PipelineConfig& config,
-                                      const Budget& budget,
-                                      const GenerateControl* control) {
+                                      const Budget& budget) {
     diffusion::DdimConfig ddim_config;
     ddim_config.inference_steps = budget.ddim_steps;
-    // Overload-ladder step cap (reduced-steps rung and below): fewer
-    // denoising steps trade sample quality for latency under load.
-    if (control != nullptr && control->max_steps > 0) {
-        ddim_config.inference_steps =
-            std::min(ddim_config.inference_steps, control->max_steps);
-    }
     ddim_config.guidance_scale = budget.guidance_scale;
     ddim_config.parameterization = config.parameterization;
     return ddim_config;
@@ -591,23 +584,14 @@ image::Image AeroDiffusionPipeline::generate(
     if (region) job.mask = inpaint_mask(*region, channels, s, image_size);
     job.strength = task.strength;  // read by kEdit only
     job.condition_tokens = std::move(cond);
-    job.config = ddim_config_for(config_, substrate_->budget, control);
+    job.config = ddim_config_for(config_, substrate_->budget);
     if (control) job.config.should_cancel = control->should_cancel;
     job.rng = &rng;
-    // Overload-ladder reduced-resolution rung, kSample only (kEdit and
-    // kInpaint start from the full-resolution source latent): sample a
-    // half-size latent and nearest-upsample it back to the decoder's
-    // fixed input size — quarter the per-step UNet cost for a softer
-    // image. Only when the halved grid still divides cleanly through the
-    // UNet's two-resolution trunk.
-    const bool half = task.kind == Kind::kSample && control != nullptr &&
-                      control->half_resolution && s >= 4 && s % 2 == 0;
-    const int sample_s = half ? s / 2 : s;
     Tensor latent;
     {
         const obs::Span span("sample", stage_metrics().sample);
         if (task.kind == Kind::kSample) {
-            job.shape = {channels, sample_s, sample_s};
+            job.shape = {channels, s, s};
         } else {
             job.source = tensor::scale(
                 substrate_->autoencoder->encode_image(reference.image),
@@ -618,11 +602,6 @@ image::Image AeroDiffusionPipeline::generate(
     if (latent.empty()) {  // cancelled between denoising steps
         if (control) control->cancelled = true;
         return image::Image();
-    }
-    if (half) {
-        latent = tensor::upsample_nearest2x(
-                     latent.reshaped({1, channels, sample_s, sample_s}))
-                     .reshaped({channels, s, s});
     }
     const obs::Span span("decode", stage_metrics().decode);
     // Undo the latent normalisation before decoding.

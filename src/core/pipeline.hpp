@@ -110,15 +110,6 @@ struct GenerateControl {
     bool force_unconditional = false;
     /// Probabilistic "condition_encoder" faults (tests / soak benches).
     util::FaultInjector* fault_injector = nullptr;
-    /// Degradation knobs driven by the serving overload ladder
-    /// (serve/overload.hpp). `max_steps` caps the DDIM step count
-    /// (0 = no cap); `half_resolution` samples a half-size latent and
-    /// nearest-upsamples it back before decoding (kSample only — kEdit
-    /// and kInpaint anchor on the full-resolution source latent, so
-    /// they honour the step cap alone). Both default off, keeping the
-    /// control block bitwise-neutral for callers that never set them.
-    int max_steps = 0;
-    bool half_resolution = false;
     /// When non-null, the sampling loop is handed off to this executor
     /// as a diffusion::SamplerJob (the serve layer's continuous step
     /// batcher) instead of running inline. The executor receives the

@@ -165,9 +165,8 @@ std::vector<Tensor> BatchedDdimScheduler::batched_guided_eps(
     // to the same forward (the sequential path ran them as two
     // denoise() calls; every UNet op is per-sample independent, so the
     // packed rows are bitwise identical to the separate calls). Rows
-    // whose latent shapes differ — the half-resolution overload rung —
-    // are partitioned into one forward per shape group, first-seen
-    // order.
+    // whose latent shapes differ are partitioned into one forward per
+    // shape group, first-seen order.
     struct Row {
         std::size_t request;
         bool unconditional;
@@ -400,8 +399,7 @@ std::size_t BatchedDdimScheduler::step() {
 
     // A batched step amortises `participants` requests: each records
     // elapsed / participants, keeping the aero_diffusion_step_ms
-    // histogram (the AIMD controller's delta-p99 signal) in
-    // per-request units at every batch size.
+    // histogram in per-request units at every batch size.
     if (timed) {
         const double elapsed_ms =
             static_cast<double>(obs::default_clock().now_ns() - step_start) *

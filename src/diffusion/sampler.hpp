@@ -119,9 +119,8 @@ Tensor run_sampler_job(const UNet& unet, const NoiseSchedule& schedule,
 /// Each job keeps its own timestep cursor, so jobs at different
 /// progress — including edits that start mid-subsequence and jobs
 /// admitted while others are mid-flight — share one forward via the
-/// UNet's per-sample `t` vector. Jobs whose latent shapes differ (the
-/// half-resolution overload rung) are partitioned into one forward per
-/// shape group within the step.
+/// UNet's per-sample `t` vector. Jobs whose latent shapes differ are
+/// partitioned into one forward per shape group within the step.
 class BatchedDdimScheduler {
 public:
     BatchedDdimScheduler(const UNet& unet, const NoiseSchedule& schedule);

@@ -42,26 +42,7 @@ inline constexpr MetricName kMetricNames[] = {
      "circuit breaker state (0 closed, 1 open, 2 half-open)"},
     {"aero_serve_breaker_trips", "cumulative breaker trips"},
     {"aero_serve_breaker_recoveries", "cumulative breaker recoveries"},
-    // serve::AdmissionController (adaptive overload control)
-    {"aero_overload_limit", "adaptive AIMD concurrency limit"},
-    {"aero_overload_load_index",
-     "smoothed load index (1.0 = exactly at the latency target)"},
-    {"aero_overload_rung",
-     "current base degradation-ladder rung (0 full .. 4 shed)"},
-    {"aero_overload_rung_full_total",
-     "degradation-ladder transitions into full quality"},
-    {"aero_overload_rung_reduced_steps_total",
-     "degradation-ladder transitions into reduced DDIM steps"},
-    {"aero_overload_rung_reduced_resolution_total",
-     "degradation-ladder transitions into half-resolution sampling"},
-    {"aero_overload_rung_unconditional_total",
-     "degradation-ladder transitions into unconditional fallback"},
-    {"aero_overload_rung_shed_total",
-     "degradation-ladder transitions into shedding"},
-    {"aero_overload_codel_dropped_total",
-     "queued requests dropped by the CoDel sojourn-time discipline"},
-    {"aero_overload_decreases_total",
-     "AIMD multiplicative concurrency-limit decreases"},
+    // serve::InferenceService per-client rate limiter (util::RateLimiter)
     {"aero_overload_rate_limited_total",
      "requests rejected by the per-client token-bucket rate limiter"},
     // core::AeroDiffusionPipeline stages

@@ -6,8 +6,7 @@
 // driver packs every in-flight job into one batched UNet forward per
 // denoising step, admits newly arrived jobs at step boundaries, and
 // resolves each worker's future when its job retires. Per-request
-// deadlines, overload rungs and priorities keep working unchanged:
-// the rung shaped the job's DdimConfig before hand-off, and the job's
+// deadlines and priorities keep working unchanged: the job's
 // should_cancel is polled inside the engine at every step boundary
 // (plus mid-step under Heun), so one member of the batch cancelling
 // never stalls the rest.

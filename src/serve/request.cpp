@@ -10,17 +10,6 @@ const char* priority_name(Priority priority) {
     return "?";
 }
 
-const char* degrade_rung_name(DegradeRung rung) {
-    switch (rung) {
-        case DegradeRung::kFull: return "full";
-        case DegradeRung::kReducedSteps: return "reduced_steps";
-        case DegradeRung::kReducedResolution: return "reduced_resolution";
-        case DegradeRung::kUnconditional: return "unconditional";
-        case DegradeRung::kShed: return "shed";
-    }
-    return "?";
-}
-
 const char* outcome_name(Outcome outcome) {
     switch (outcome) {
         case Outcome::kOk: return "ok";

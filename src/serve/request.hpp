@@ -18,25 +18,10 @@ namespace aero::serve {
 /// Scheduling class of a request. Interactive traffic is dequeued
 /// first; batch traffic (bulk augmentation) yields, but never starves —
 /// a batch job whose head-of-queue wait exceeds the configured bound
-/// wins the next dequeue (overload.hpp, batch_max_wait_ms).
+/// wins the next dequeue (ServiceConfig::batch_max_wait_ms).
 enum class Priority { kInteractive = 0, kBatch };
 inline constexpr int kNumPriorities = 2;
 const char* priority_name(Priority priority);
-
-/// Degradation ladder rung applied to a request under overload
-/// (DESIGN.md §14). Ordered: each rung is strictly cheaper than the one
-/// before, so comparisons (`rung >= kReducedSteps`) read as "at least
-/// this degraded". Selected per request from the admission controller's
-/// smoothed load index; kFull whenever overload control is off.
-enum class DegradeRung {
-    kFull = 0,            ///< untouched: full steps, full resolution
-    kReducedSteps,        ///< DDIM step count capped
-    kReducedResolution,   ///< half-resolution latent, upsampled back
-    kUnconditional,       ///< condition encoder skipped (kDegraded)
-    kShed,                ///< rejected at admission (kShed)
-};
-inline constexpr int kNumDegradeRungs = 5;
-const char* degrade_rung_name(DegradeRung rung);
 
 /// Caller-supplied scheduling envelope, carried inside the request.
 struct SubmitOptions {
@@ -104,9 +89,6 @@ struct RequestResult {
     /// The condition span of the final (kOk) attempt was served from the
     /// pipeline's condition cache (DESIGN.md §17) instead of re-encoded.
     bool condition_cached = false;
-    /// Degradation ladder rung the admission controller applied to this
-    /// request (kFull when overload control is off or load was low).
-    DegradeRung rung = DegradeRung::kFull;
     std::uint64_t request_id = 0;  ///< rid correlating logs and spans
     /// Per-request span tree summary (stage -> count x total time),
     /// folded from the obs::Trace the worker wrapped this request in.

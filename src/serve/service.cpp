@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/clock.hpp"
 #include "obs/exposition.hpp"
 #include "obs/trace.hpp"
 #include "util/env.hpp"
@@ -62,7 +63,6 @@ InferenceService::InferenceService(
       config_(config),
       breaker_(config.breaker),
       metrics_(resolve_metrics()),
-      controller_(config.overload),
       limiter_(config.rate_limit) {
     // First service in the process arms the env-gated periodic metrics
     // dump (AERO_OBS_DUMP_MS); a no-op when the knob is unset.
@@ -166,22 +166,6 @@ std::future<RequestResult> InferenceService::submit(InferenceRequest request) {
         return future;
     }
 
-    // Degradation ladder: stamp the rung the current load index earns
-    // this priority class. The top rung sheds at admission — the
-    // cheapest possible answer under the heaviest load. poll() first:
-    // arrivals keep the index decaying even when nothing completes
-    // (a full-shed rung must not latch).
-    controller_.poll();
-    job.rung = controller_.rung_for(job.request.options.priority);
-    if (job.rung == DegradeRung::kShed) {
-        early.outcome = Outcome::kShed;
-        early.rung = DegradeRung::kShed;
-        early.message = "overload: degradation ladder shed";
-        record(early);
-        job.promise.set_value(std::move(early));
-        return future;
-    }
-
     bool enqueued = false;
     {
         const util::MutexLock lock(queue_mutex_);
@@ -201,7 +185,6 @@ std::future<RequestResult> InferenceService::submit(InferenceRequest request) {
     // Load shedding: a full queue answers immediately instead of letting
     // latency grow without bound.
     early.outcome = Outcome::kShed;
-    early.rung = job.rung;
     early.message = "admission queue full or service stopped";
     record(early);
     job.promise.set_value(std::move(early));
@@ -249,7 +232,6 @@ void InferenceService::record(const RequestResult& result) {
     {
         const util::MutexLock lock(stats_mutex_);
         ++stats_.by_outcome[static_cast<int>(result.outcome)];
-        ++stats_.by_rung[static_cast<int>(result.rung)];
         stats_.retries += result.retries;
         if (result.cancelled) ++stats_.cancelled_mid_run;
     }
@@ -277,74 +259,24 @@ int InferenceService::pick_queue_locked(Clock::time_point now) const {
         std::chrono::duration<double, std::milli>(
             now - queues_[batch].front().submitted_at)
             .count();
-    return batch_wait_ms >= config_.overload.batch_max_wait_ms ? batch
-                                                               : interactive;
+    return batch_wait_ms >= config_.batch_max_wait_ms ? batch : interactive;
 }
 
 void InferenceService::worker_loop(std::uint64_t worker_seed) {
     util::Rng backoff_rng(worker_seed);
-    util::FaultInjector* injector = config_.fault_injector;
     for (;;) {
         Job job;
         {
             std::unique_lock<util::Mutex> lock(queue_mutex_);
-            // The AIMD limit gates pickup, not admission: queued work
-            // waits (and may CoDel-drop) while active_ is at the limit.
-            // A stop() drains unconditionally so shutdown never wedges
-            // behind a depressed limit.
-            queue_cv_.wait(lock, [this] {
-                if (stopping_) return true;
-                if (queued_locked() == 0) return false;
-                return !controller_.enabled() ||
-                       active_ < controller_.limit();
-            });
+            queue_cv_.wait(lock,
+                           [this] { return stopping_ || queued_locked() > 0; });
             if (queued_locked() == 0) return;  // stopping_ and drained
             std::deque<Job>& queue = queues_[pick_queue_locked(Clock::now())];
             job = std::move(queue.front());
             queue.pop_front();
-            ++active_;
             metrics_.queue_depth->set(static_cast<double>(queued_locked()));
         }
 
-        // Deterministic overload drill: the "overload_spike" point feeds
-        // the controller a synthetic latency spike at dequeue.
-        if (injector && controller_.enabled() &&
-            injector->should_fail("overload_spike")) {
-            controller_.inject_spike();
-        }
-
-        // CoDel: a head that sat over the sojourn target for a full
-        // interval is dropped (fast kShed) instead of served late. A
-        // job whose own deadline has passed skips the verdict and
-        // resolves kTimeout through process() as before.
-        const double sojourn_ms =
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      job.submitted_at)
-                .count();
-        const bool expired =
-            job.has_deadline && Clock::now() >= job.deadline;
-        if (!expired && controller_.enabled() &&
-            controller_.codel_drop(sojourn_ms)) {
-            {
-                const util::MutexLock lock(stats_mutex_);
-                ++stats_.codel_dropped;
-            }
-            RequestResult dropped;
-            dropped.outcome = Outcome::kShed;
-            dropped.rung = job.rung;
-            dropped.message = "overload: CoDel drop (queue sojourn over "
-                              "target for a full interval)";
-            dropped.queue_ms = sojourn_ms;
-            dropped.latency_ms = sojourn_ms;
-            record(dropped);
-            job.promise.set_value(std::move(dropped));
-            {
-                const util::MutexLock lock(queue_mutex_);
-                --active_;
-            }
-            if (controller_.enabled()) queue_cv_.notify_all();
-            continue;
-        }
         // One Trace per request: spans opened anywhere below (pipeline
         // stages, sampler steps) attach to it, log lines carry its rid,
         // and the folded summary rides back on the result.
@@ -376,23 +308,9 @@ void InferenceService::worker_loop(std::uint64_t worker_seed) {
         result.request_id = rid;
         metrics_.queue_ms->observe(result.queue_ms);
         metrics_.latency_ms->observe(result.latency_ms);
-        // Only latencies of requests that actually ran feed the AIMD
-        // window; early classifications (timeouts, sheds) would teach
-        // the controller that overload is fast.
-        if (result.outcome == Outcome::kOk ||
-            result.outcome == Outcome::kDegraded) {
-            controller_.on_finish(result.latency_ms);
-        }
         publish_breaker_metrics();
         record(result);
         job.promise.set_value(std::move(result));
-        // With overload control live, every finish may unblock a worker
-        // parked on the limit gate, so those builds wake everyone.
-        {
-            const util::MutexLock lock(queue_mutex_);
-            --active_;
-        }
-        if (controller_.enabled()) queue_cv_.notify_all();
     }
 }
 
@@ -416,7 +334,6 @@ bool InferenceService::cancel_due(const Job& job) const {
 
 RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
     RequestResult result;
-    result.rung = job.rung;
     const Clock::time_point picked_up = Clock::now();
     result.queue_ms =
         std::chrono::duration<double, std::milli>(picked_up -
@@ -474,18 +391,11 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
             continue;
         }
 
-        // Ladder rung kUnconditional skips the condition encoder by
-        // policy, without consulting (or perturbing) the breaker: an
-        // overload fallback is not evidence about encoder health.
-        const bool overload_unconditional =
-            job.rung >= DegradeRung::kUnconditional;
         // Only the first attempt counts toward the Open-state cooldown:
         // open_cooldown is specified in distinct requests, not retries.
         bool holds_probe = false;
-        const bool conditional =
-            !overload_unconditional &&
-            breaker_.allow_conditional(&holds_probe,
-                                       /*count_cooldown=*/attempt == 1);
+        const bool conditional = breaker_.allow_conditional(
+            &holds_probe, /*count_cooldown=*/attempt == 1);
         // A probe holder owes the breaker exactly one verdict. Exits
         // that learn nothing about the encoder (cancellation, pipeline
         // rejection, non-finite sample) must free the slot or the
@@ -515,15 +425,6 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
         // condition-cache hit would skip exactly the thing being probed
         // and could report a broken encoder healthy.
         control.bypass_condition_cache = holds_probe;
-        // Degradation knobs accumulate down the ladder: reduced steps
-        // first, then also half resolution (kSample only; edit and
-        // inpaint honour the step cap alone).
-        if (job.rung >= DegradeRung::kReducedSteps) {
-            control.max_steps = std::max(1, config_.overload.reduced_steps);
-        }
-        if (job.rung >= DegradeRung::kReducedResolution) {
-            control.half_resolution = true;
-        }
         // Polled between denoising steps against the job's own
         // deadline. With the batcher live the poll runs on the
         // batcher's thread; the job outlives the call (the worker
@@ -581,12 +482,10 @@ RequestResult InferenceService::process(Job& job, util::Rng& backoff_rng) {
         }
 
         if (!conditional) {
-            // Unconditional by design: overload ladder or open breaker.
+            // Unconditional by design: the breaker is open.
             result.image = std::move(image);
             return finish(Outcome::kDegraded,
-                          overload_unconditional
-                              ? "overload: unconditional fallback"
-                              : "circuit breaker open; served unconditional");
+                          "circuit breaker open; served unconditional");
         }
         if (control.degraded) {
             // Conditional path failed (injected fault or non-finite

@@ -7,10 +7,8 @@
 //   submit() --validate--> kInvalid        (typed reason, no tensor math)
 //            --rate limited--> kShed       (per-client token bucket)
 //            --deadline already expired--> kTimeout (never enqueued)
-//            --ladder rung kShed--> kShed  (overload degradation ladder)
 //            --queue full--> kShed         (bounded admission queue)
-//   worker   --CoDel sojourn overage--> kShed (standing-queue defence)
-//            --deadline already passed--> kTimeout
+//   worker   --deadline already passed--> kTimeout
 //            --transient fault--> retry with exponential backoff + jitter
 //            --condition-encoder failure--> retry; repeated failures trip
 //              the circuit breaker, which serves degraded unconditional
@@ -26,8 +24,8 @@
 // Locking discipline (statically checked by the AERO_GUARDED_BY /
 // AERO_EXCLUDES annotations below under `clang++ -Wthread-safety`, and
 // TSan-covered by test_serve via scripts/check.sh):
-//   * queue_mutex_ guards queues_, active_ and stopping_; sleeps and
-//     wake-ups go through queue_cv_.
+//   * queue_mutex_ guards queues_ and stopping_; sleeps and wake-ups
+//     go through queue_cv_.
 //   * stats_mutex_ guards the ServiceStats counters.
 //   * stop_mutex_ serialises concurrent stop() callers (explicit stop
 //     racing the destructor) across the join/clear phase and guards
@@ -53,7 +51,6 @@
 #include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
 #include "serve/breaker.hpp"
-#include "serve/overload.hpp"
 #include "serve/validation.hpp"
 #include "util/annotations.hpp"
 #include "util/fault.hpp"
@@ -79,14 +76,12 @@ struct ServiceConfig {
     /// Stall injected when the "serve_slow" point fires: slept inside
     /// the attempt, after breaker admission and before generation.
     double slow_fault_ms = 50.0;
-    /// Adaptive overload control (serve/overload.hpp): AIMD concurrency
-    /// limit, CoDel queue discipline, degradation ladder. Off by
-    /// default (overload.enabled).
-    OverloadConfig overload;
-    /// Per-client token-bucket admission (util/rate_limit.hpp), read
-    /// from AERO_RATE_QPS / AERO_RATE_BURST by default (unset = off).
-    /// Requests with an empty client_id are exempt.
-    util::RateLimitConfig rate_limit = util::RateLimitConfig::from_env();
+    /// A batch head-of-queue older than this wins the dequeue even with
+    /// interactive work pending (anti-starvation bound).
+    double batch_max_wait_ms = 200.0;
+    /// Per-client token-bucket admission (util/rate_limit.hpp); off by
+    /// default. Requests with an empty client_id are exempt.
+    util::RateLimitConfig rate_limit;
     /// Continuous cross-request step batching (serve/batcher.hpp): on
     /// by default (also gated process-wide by AERO_BATCH), workers hand
     /// sampling jobs to a shared step batcher. Output is bitwise
@@ -108,11 +103,6 @@ struct ServiceStats {
     /// kShed, so they are a subset of by_outcome[kShed] and the books
     /// below stay balanced.
     long long rate_limited = 0;
-    /// Queued requests dropped by the CoDel sojourn discipline (also a
-    /// subset of by_outcome[kShed]).
-    long long codel_dropped = 0;
-    /// Terminal results per degradation-ladder rung; sums to terminal().
-    long long by_rung[kNumDegradeRungs] = {};
     int breaker_trips = 0;
     int breaker_recoveries = 0;
 
@@ -162,9 +152,6 @@ private:
         Clock::time_point submitted_at;
         Clock::time_point deadline;
         bool has_deadline = false;
-        /// Ladder rung stamped at admission (kFull when overload
-        /// control is off); process() applies it to GenerateControl.
-        DegradeRung rung = DegradeRung::kFull;
     };
 
     /// Dequeue loop. Opted out of the static analysis: the
@@ -218,10 +205,6 @@ private:
     ServiceConfig config_;
     CircuitBreaker breaker_;
     Metrics metrics_;
-    /// Adaptive overload control: AIMD limit the workers gate on, CoDel
-    /// verdicts at dequeue, ladder rungs at admission. Inert (identity
-    /// limit, kFull rung) unless config_.overload.enabled.
-    AdmissionController controller_;
     /// Per-client token buckets consulted in submit(); the service
     /// feeds it obs::default_clock() timestamps.
     util::RateLimiter limiter_;
@@ -234,12 +217,9 @@ private:
     mutable util::Mutex queue_mutex_;
     util::CondVar queue_cv_;
     /// One FIFO per Priority class. Dequeue prefers interactive; a
-    /// batch head older than overload.batch_max_wait_ms wins anyway
+    /// batch head older than batch_max_wait_ms wins anyway
     /// (anti-starvation bound).
     std::deque<Job> queues_[kNumPriorities] AERO_GUARDED_BY(queue_mutex_);
-    /// Jobs dequeued by a worker whose terminal outcome has not been
-    /// recorded yet — what the AIMD concurrency limit gates pickup on.
-    long long active_ AERO_GUARDED_BY(queue_mutex_) = 0;
     /// Set once by stop(): admission closes (late submits shed) and
     /// the workers exit after draining the queue.
     bool stopping_ AERO_GUARDED_BY(queue_mutex_) = false;

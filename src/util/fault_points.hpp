@@ -33,10 +33,6 @@ inline constexpr FaultPoint kFaultPoints[] = {
      "service worker: stall inside an attempt, after breaker admission"},
     {"pool_slow",
      "thread pool: worker stalls ~1ms before executing a claimed chunk"},
-    {"overload_spike",
-     "service worker: feeds the admission controller a synthetic latency "
-     "spike at dequeue (spike_factor x latency target), deterministically "
-     "driving an AIMD decrease and degradation-ladder escalation in soaks"},
 };
 
 inline constexpr int kNumFaultPoints =

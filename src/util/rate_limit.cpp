@@ -2,23 +2,14 @@
 
 #include <algorithm>
 
-#include "util/env.hpp"
 #include "util/hash.hpp"
 
 namespace aero::util {
 
-RateLimitConfig RateLimitConfig::from_env() {
-    RateLimitConfig config;
-    config.qps = static_cast<double>(env_int("AERO_RATE_QPS", 0));
-    config.burst = static_cast<double>(env_int("AERO_RATE_BURST", 0));
-    return config;
-}
-
-RateLimiter::RateLimiter(const RateLimitConfig& config, std::size_t slots)
-    : qps_(config.qps) {
+RateLimiter::RateLimiter(const RateLimitConfig& config) : qps_(config.qps) {
     if (qps_ > 0.0) {
         burst_ = config.burst > 0.0 ? config.burst : std::max(qps_, 1.0);
-        buckets_.resize(std::max<std::size_t>(1, slots));
+        buckets_.resize(kSlots);
     }
 }
 

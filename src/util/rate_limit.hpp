@@ -1,17 +1,15 @@
 #pragma once
 // Per-client token-bucket rate limiter for the serving admission path
-// (DESIGN.md §14). Each client identity owns a bucket that refills at
+// (DESIGN.md §9). Each client identity owns a bucket that refills at
 // `qps` tokens per second up to `burst`; a request spends one token or
 // is rejected. Sitting in util (below obs), the limiter never reads a
 // clock itself — callers pass `now_ns` from whatever time source they
-// use (the serve layer passes obs::default_clock(), so ManualClock
-// tests drive refill deterministically).
+// use (the serve layer passes obs::default_clock()).
 //
-// Memory is bounded: identities hash onto a fixed slot array, so a
-// million distinct client ids cost the same as a handful. Colliding
-// clients share a bucket — under attack that errs toward rejecting, the
-// safe direction for an overload defence — and the slot count is a
-// constructor knob for callers that want fewer collisions.
+// Memory is bounded: identities hash onto a fixed array of kSlots
+// buckets, so a million distinct client ids cost the same as a handful.
+// Colliding clients share a bucket — under attack that errs toward
+// rejecting, the safe direction for an admission defence.
 
 #include <cstdint>
 #include <string>
@@ -28,17 +26,14 @@ struct RateLimitConfig {
     double qps = 0.0;
     /// Bucket capacity (burst headroom); <= 0 derives max(qps, 1).
     double burst = 0.0;
-
-    /// Reads the AERO_RATE_QPS / AERO_RATE_BURST knobs (integers,
-    /// checked via util::parse_int inside env_int; unset or malformed
-    /// values leave limiting off / derived).
-    static RateLimitConfig from_env();
 };
 
 class RateLimiter {
 public:
-    explicit RateLimiter(const RateLimitConfig& config,
-                         std::size_t slots = 256);
+    /// Buckets the client identities hash onto.
+    static constexpr std::size_t kSlots = 256;
+
+    explicit RateLimiter(const RateLimitConfig& config);
 
     bool enabled() const { return qps_ > 0.0; }
 

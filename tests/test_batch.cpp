@@ -215,9 +215,8 @@ TEST(BatchBitwiseTest, BatchSizesMatchSequential) {
 }
 
 TEST(BatchBitwiseTest, MixedLatentShapesSplitIntoGroups) {
-    // The half-resolution overload rung puts differently-shaped latents
-    // into the same step; they must partition into per-shape forwards
-    // without perturbing each other.
+    // Jobs with differently-shaped latents can share a step; they must
+    // partition into per-shape forwards without perturbing each other.
     std::vector<Recipe> recipes = mixed_recipes(3);
     recipes[1].shape = {4, 4, 4};
     expect_batched_matches_sequential(recipes, "mixed shapes");
@@ -404,8 +403,8 @@ TEST(BatchMetricsTest, StepTimeRecordedPerRequestNormalized) {
 
     // One batched step over 3 requests: the step histogram gets one
     // NORMALIZED observation per participant (elapsed / 3 each), so the
-    // AIMD controller's delta-p99 stays in per-request units, and the
-    // batch-size histogram gets exactly one observation of 3.
+    // histogram stays in per-request units, and the batch-size
+    // histogram gets exactly one observation of 3.
     EXPECT_EQ(step_ms.snapshot().count - step_before.count, 3);
     EXPECT_EQ(batch_size.snapshot().count - size_before.count, 1);
     EXPECT_EQ(steps.value() - steps_before, 1);

@@ -279,14 +279,12 @@ TEST(PipelineTest, EditAndInpaintProduceValidImages) {
 /// condition encoder on freshly computed features, one SamplerJob (a
 /// fresh shape, or the encoded reference latent plus the edit strength
 /// or the inpaint mask), the sequential sampler, then unscale and
-/// decode. `max_steps` / `half_resolution` mirror GenerateControl; the
-/// half-size latent applies to kSample only.
+/// decode.
 aero::image::Image hand_built_generate(const AeroDiffusionPipeline& pipeline,
                                        const aero::scene::AerialSample& sample,
                                        const std::string& caption,
                                        aero::util::Rng& rng,
-                                       const GenerateTask& task,
-                                       int max_steps, bool half_resolution) {
+                                       const GenerateTask& task) {
     namespace ops = aero::tensor;
     const Substrate& s = shared_substrate();
     const PipelineConfig& config = pipeline.config();
@@ -296,19 +294,16 @@ aero::image::Image hand_built_generate(const AeroDiffusionPipeline& pipeline,
 
     const int channels = s.autoencoder->config().latent_channels;
     const int n = s.autoencoder->config().latent_size();
-    const int m = task.kind == Kind::kSample && half_resolution ? n / 2 : n;
     aero::diffusion::SamplerJob job;
     job.kind = task.kind;
     job.condition_tokens =
         pipeline.condition_encoder().encode(features).value();
-    job.config.inference_steps =
-        max_steps > 0 ? std::min(s.budget.ddim_steps, max_steps)
-                      : s.budget.ddim_steps;
+    job.config.inference_steps = s.budget.ddim_steps;
     job.config.guidance_scale = s.budget.guidance_scale;
     job.config.parameterization = config.parameterization;
     job.rng = &rng;
     if (task.kind == Kind::kSample) {
-        job.shape = {channels, m, m};
+        job.shape = {channels, n, n};
     } else {
         job.source = ops::scale(s.autoencoder->encode_image(sample.image),
                                 s.latent_scale);
@@ -340,12 +335,8 @@ aero::image::Image hand_built_generate(const AeroDiffusionPipeline& pipeline,
             }
         }
     }
-    aero::tensor::Tensor latent = aero::diffusion::run_sampler_job(
+    const aero::tensor::Tensor latent = aero::diffusion::run_sampler_job(
         pipeline.unet(), pipeline.noise_schedule(), std::move(job));
-    if (m != n) {
-        latent = ops::upsample_nearest2x(latent.reshaped({1, channels, m, m}))
-                     .reshaped({channels, n, n});
-    }
     return s.autoencoder->decode_latent(
         ops::scale(latent, 1.0f / s.latent_scale));
 }
@@ -369,21 +360,19 @@ TEST(PipelineTest, GenerateMatchesHandBuiltJobForEveryKind) {
         {.kind = Kind::kInpaint, .region = interior},
         {.kind = Kind::kInpaint, .region = clamped},
     };
-    for (const bool degraded : {false, true}) {
+    // A default control block must be as inert as none at all.
+    for (const bool with_control : {false, true}) {
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             SCOPED_TRACE(testing::Message()
-                         << "task " << i << (degraded ? " degraded" : ""));
+                         << "task " << i << (with_control ? " control" : ""));
             GenerateControl control;
-            control.max_steps = 2;
-            control.half_resolution = true;
             aero::util::Rng rng_a(900 + i);
             aero::util::Rng rng_b(900 + i);
             const aero::image::Image got = pipeline.generate(
                 sample, caption, caption, rng_a, -1,
-                degraded ? &control : nullptr, tasks[i]);
+                with_control ? &control : nullptr, tasks[i]);
             const aero::image::Image want = hand_built_generate(
-                pipeline, sample, caption, rng_b, tasks[i],
-                degraded ? control.max_steps : 0, degraded);
+                pipeline, sample, caption, rng_b, tasks[i]);
             ASSERT_FALSE(got.empty());
             ASSERT_EQ(got.data().size(), want.data().size());
             EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),

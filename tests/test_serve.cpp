@@ -1,12 +1,17 @@
 // Serving-layer tests: boundary validation (incl. fuzz), the circuit
-// breaker state machine, and the threaded InferenceService under load
+// breaker state machine, the threaded InferenceService under load
 // shedding, deadlines, injected transient/encoder faults and a mixed
-// soak. The accounting invariant checked throughout: every submit()
-// resolves with exactly one typed outcome and stats().balanced() holds.
+// soak, and admission control: the per-client token bucket, deadlines
+// that expire before admission, and priority dequeue ordering with the
+// anti-starvation bound. The accounting invariant checked throughout:
+// every submit() resolves with exactly one typed outcome and
+// stats().balanced() holds.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <limits>
 #include <string>
@@ -20,6 +25,7 @@
 #include "text/vocabulary.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
+#include "util/rate_limit.hpp"
 
 namespace {
 
@@ -482,7 +488,10 @@ TEST(InferenceServiceTest, DeterministicAcrossWorkerAssignment) {
     config.workers = 3;
     InferenceService service(shared_pipeline(), config);
     auto a = service.submit(valid_request(42, 1)).get();
-    auto b = service.submit(valid_request(42, 1)).get();
+    // The priority class picks a queue, never the image.
+    InferenceRequest batch = valid_request(42, 1);
+    batch.options.priority = Priority::kBatch;
+    auto b = service.submit(std::move(batch)).get();
     ASSERT_EQ(a.outcome, Outcome::kOk);
     ASSERT_EQ(b.outcome, Outcome::kOk);
     EXPECT_EQ(a.image.data(), b.image.data());
@@ -783,9 +792,10 @@ TEST(InferenceServiceTest, AbandonedProbeDoesNotWedgeBreaker) {
 }
 
 /// Acceptance soak: random encoder failures, transient faults, malformed
-/// requests, impossible deadlines and queue overload all at once. The
-/// service must finish with zero crashes, zero non-finite outputs, a
-/// typed outcome per request, and balanced accounting.
+/// requests, impossible deadlines, queue overload, mixed priorities and
+/// two rate-limited clients all at once. The service must finish with
+/// zero crashes, zero non-finite outputs, a typed outcome per request,
+/// and balanced accounting. TSan-covered via scripts/check.sh.
 TEST(InferenceServiceTest, FaultInjectionSoak) {
     util::FaultInjector injector(0x50a4);
     injector.set_fail_rate("condition_encoder", 0.3);
@@ -799,6 +809,9 @@ TEST(InferenceServiceTest, FaultInjectionSoak) {
     config.backoff_max_ms = 1.0;
     config.breaker.failure_threshold = 3;
     config.breaker.open_cooldown = 3;
+    config.batch_max_wait_ms = 20.0;
+    config.rate_limit.qps = 200.0;
+    config.rate_limit.burst = 8.0;
     config.fault_injector = &injector;
     InferenceService service(shared_pipeline(), config);
 
@@ -807,6 +820,8 @@ TEST(InferenceServiceTest, FaultInjectionSoak) {
     std::vector<std::future<RequestResult>> futures;
     for (int i = 0; i < total; ++i) {
         InferenceRequest request = valid_request(600 + i, i);
+        if (i % 3 == 0) request.options.priority = Priority::kBatch;
+        request.options.client_id = (i % 2 == 0) ? "alice" : "bob";
         switch (i % 9) {
             case 3:  // malformed: binary caption
                 request.source_caption = std::string("\xff\xfe garbage");
@@ -860,6 +875,7 @@ TEST(InferenceServiceTest, FaultInjectionSoak) {
     EXPECT_TRUE(stats.balanced());
     EXPECT_GT(with_image, 0);
     EXPECT_EQ(stats.outcome(Outcome::kInvalid), 8);  // 4x case-3 + 4x case-5
+    EXPECT_LE(stats.rate_limited, stats.outcome(Outcome::kShed));
     // Submitting after stop() sheds rather than hangs, and the books
     // still balance.
     const RequestResult after = service.submit(valid_request(999)).get();
@@ -899,6 +915,177 @@ TEST(InferenceServiceTest, DequeueToCancelWindowIsAccounted) {
     EXPECT_GE(stats.cancelled_mid_run, 1);
     EXPECT_EQ(stats.outcome(Outcome::kTimeout), 1);
     EXPECT_TRUE(stats.balanced());
+}
+
+// ---- admission control ------------------------------------------------------
+
+TEST(RateLimiterTest, BurstSpendRefillAndExemption) {
+    util::RateLimitConfig config;
+    config.qps = 2.0;
+    config.burst = 2.0;
+    util::RateLimiter limiter(config);
+    ASSERT_TRUE(limiter.enabled());
+
+    std::int64_t now = 0;
+    EXPECT_TRUE(limiter.admit("alice", now));
+    EXPECT_TRUE(limiter.admit("alice", now));
+    EXPECT_FALSE(limiter.admit("alice", now));  // burst exhausted
+    EXPECT_TRUE(limiter.admit("", now));        // anonymous: exempt
+    EXPECT_TRUE(limiter.admit("", now));
+
+    now += 500'000'000;  // +0.5s at 2 qps = one token back
+    EXPECT_TRUE(limiter.admit("alice", now));
+    EXPECT_FALSE(limiter.admit("alice", now));
+    EXPECT_EQ(limiter.rejected(), 2);
+
+    // Refill clamps at burst: a long idle gap does not bank tokens.
+    now += 60'000'000'000;
+    EXPECT_TRUE(limiter.admit("alice", now));
+    EXPECT_TRUE(limiter.admit("alice", now));
+    EXPECT_FALSE(limiter.admit("alice", now));
+}
+
+TEST(RateLimiterTest, UnconfiguredLimiterAdmitsEverything) {
+    util::RateLimiter limiter(util::RateLimitConfig{});
+    EXPECT_FALSE(limiter.enabled());
+    for (int i = 0; i < 100; ++i) EXPECT_TRUE(limiter.admit("alice", 0));
+    EXPECT_EQ(limiter.rejected(), 0);
+}
+
+TEST(AdmissionTest, RateLimitedClientsShedWithAccounting) {
+    ServiceConfig config = basic_config();
+    config.workers = 1;
+    config.rate_limit.qps = 1.0;
+    config.rate_limit.burst = 1.0;
+    InferenceService service(shared_pipeline(), config);
+
+    std::vector<std::future<RequestResult>> futures;
+    for (int i = 0; i < 3; ++i) {
+        InferenceRequest request = valid_request(10 + i, i);
+        request.options.client_id = "bulk-client";
+        futures.push_back(service.submit(std::move(request)));
+    }
+    int shed = 0;
+    for (auto& f : futures) {
+        const RequestResult r = f.get();
+        if (r.outcome == Outcome::kShed) {
+            ++shed;
+            EXPECT_NE(r.message.find("rate limited"), std::string::npos);
+        }
+    }
+    service.stop();
+    // Burst 1 at 1 qps, three back-to-back submits: exactly two shed.
+    EXPECT_EQ(shed, 2);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.rate_limited, 2);
+    EXPECT_EQ(stats.outcome(Outcome::kShed), 2);
+    EXPECT_TRUE(stats.balanced());
+}
+
+TEST(AdmissionTest, ExpiredDeadlineAtAdmissionIsTimeoutNotShed) {
+    ServiceConfig config = basic_config();
+    config.workers = 1;
+    InferenceService service(shared_pipeline(), config);
+
+    // 1e-9 ms passes validation (finite, non-negative, under the cap)
+    // but truncates to an already-expired steady-clock deadline.
+    InferenceRequest request = valid_request(21);
+    request.deadline_ms = 1e-9;
+    const RequestResult result = service.submit(std::move(request)).get();
+    EXPECT_EQ(result.outcome, Outcome::kTimeout);
+    EXPECT_EQ(result.message, "deadline expired at admission");
+    EXPECT_FALSE(result.cancelled);
+    // Never enqueued: the queue-wait accounting window must stay empty.
+    EXPECT_EQ(result.queue_ms, 0.0);
+
+    service.stop();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.outcome(Outcome::kTimeout), 1);
+    EXPECT_EQ(stats.outcome(Outcome::kShed), 0);
+    EXPECT_TRUE(stats.balanced());
+}
+
+TEST(AdmissionTest, ExpiredDeadlineBeatsQueueFullClassification) {
+    ServiceConfig config = basic_config();
+    config.workers = 1;
+    config.queue_capacity = 1;
+    InferenceService service(shared_pipeline(), config);
+
+    // Keep the worker and the queue busy, then submit an expired
+    // request: it must classify kTimeout even if the queue is full.
+    std::vector<std::future<RequestResult>> busy;
+    busy.push_back(service.submit(valid_request(31, 0)));
+    busy.push_back(service.submit(valid_request(32, 1)));
+    InferenceRequest expired = valid_request(33, 2);
+    expired.deadline_ms = 1e-9;
+    const RequestResult result = service.submit(std::move(expired)).get();
+    EXPECT_EQ(result.outcome, Outcome::kTimeout);
+    EXPECT_EQ(result.message, "deadline expired at admission");
+    for (auto& f : busy) f.get();
+    service.stop();
+    EXPECT_TRUE(service.stats().balanced());
+}
+
+/// Absolute pickup instant (ms since t0) of a request submitted at
+/// `submitted` whose result reports `queue_ms` of queue wait.
+double pickup_ms(std::chrono::steady_clock::time_point t0,
+                 std::chrono::steady_clock::time_point submitted,
+                 const RequestResult& result) {
+    const double submit_ms =
+        std::chrono::duration<double, std::milli>(submitted - t0).count();
+    return submit_ms + result.queue_ms;
+}
+
+TEST(AdmissionTest, InteractiveDequeuesBeforeBatch) {
+    ServiceConfig config = basic_config();
+    config.workers = 1;
+    config.batch_max_wait_ms = 1e9;  // starvation bound inert
+    InferenceService service(shared_pipeline(), config);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    // Occupy the single worker, then enqueue batch before interactive.
+    auto first = service.submit(valid_request(41, 0));
+    InferenceRequest batch = valid_request(42, 1);
+    batch.options.priority = Priority::kBatch;
+    const auto batch_at = std::chrono::steady_clock::now();
+    auto batch_future = service.submit(std::move(batch));
+    const auto inter_at = std::chrono::steady_clock::now();
+    auto inter_future = service.submit(valid_request(43, 2));
+
+    const RequestResult inter = inter_future.get();
+    const RequestResult batched = batch_future.get();
+    first.get();
+    service.stop();
+
+    // The interactive request submitted later was picked up earlier.
+    EXPECT_LT(pickup_ms(t0, inter_at, inter),
+              pickup_ms(t0, batch_at, batched));
+    EXPECT_TRUE(service.stats().balanced());
+}
+
+TEST(AdmissionTest, AgedBatchHeadBeatsInteractive) {
+    ServiceConfig config = basic_config();
+    config.workers = 1;
+    config.batch_max_wait_ms = 0.0;  // any wait trips the bound
+    InferenceService service(shared_pipeline(), config);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto first = service.submit(valid_request(51, 0));
+    InferenceRequest batch = valid_request(52, 1);
+    batch.options.priority = Priority::kBatch;
+    const auto batch_at = std::chrono::steady_clock::now();
+    auto batch_future = service.submit(std::move(batch));
+    const auto inter_at = std::chrono::steady_clock::now();
+    auto inter_future = service.submit(valid_request(53, 2));
+
+    const RequestResult inter = inter_future.get();
+    const RequestResult batched = batch_future.get();
+    first.get();
+    service.stop();
+
+    EXPECT_LT(pickup_ms(t0, batch_at, batched),
+              pickup_ms(t0, inter_at, inter));
+    EXPECT_TRUE(service.stats().balanced());
 }
 
 }  // namespace

@@ -276,43 +276,6 @@ public:
         }
     }
 
-    void check_overload_accounting() {
-        // Every write of the ladder state must be metered: the matching
-        // `aero_overload_*` rung-transition counter increments within
-        // three lines of the write, so a refactor cannot silently
-        // detach the ladder from its telemetry.
-        static const std::regex kRungWrite(
-            R"(\brung_\s*(\.\s*store\s*\(|=[^=]))");
-        static const std::regex kMetered(
-            R"(rung_transition\s*\[[^\]]*\]\s*->\s*inc\s*\(|aero_overload_)");
-        std::vector<std::size_t> line_starts{0};
-        for (std::size_t i = 0; i < code_.size(); ++i) {
-            if (code_[i] == '\n') line_starts.push_back(i + 1);
-        }
-        for (auto it = std::sregex_iterator(bare_.begin(), bare_.end(),
-                                            kRungWrite);
-             it != std::sregex_iterator(); ++it) {
-            const auto offset = static_cast<std::size_t>(it->position());
-            const int line = lines_.line_at(offset);  // 1-based
-            const int first = std::max(1, line - 3);
-            const int last = std::min(static_cast<int>(line_starts.size()),
-                                      line + 3);
-            const std::size_t begin =
-                line_starts[static_cast<std::size_t>(first - 1)];
-            const std::size_t end =
-                last < static_cast<int>(line_starts.size())
-                    ? line_starts[static_cast<std::size_t>(last)]
-                    : code_.size();
-            const std::string window = code_.substr(begin, end - begin);
-            if (!std::regex_search(window, kMetered)) {
-                report(offset, "overload-accounting",
-                       "ladder rung write without an adjacent "
-                       "aero_overload_* rung-transition counter "
-                       "increment (within 3 lines)");
-            }
-        }
-    }
-
     void check_arena_bypass() {
         // Only the hot tensor-storage directories are constrained; a
         // std::vector<float> elsewhere (image rows, schedule tables) is
@@ -348,7 +311,6 @@ public:
         check_naked_new();
         check_unchecked_parse();
         check_stats_accounting();
-        check_overload_accounting();
         check_arena_bypass();
         // Strict-only: tests exercise hermetic local registries with
         // synthetic names, which the runtime pattern guard still covers.
@@ -511,9 +473,6 @@ const std::vector<RuleDoc>& rule_docs() {
          "declared in src/obs/metric_names.hpp"},
         {"naked-new",
          "no naked new/delete outside the module-ownership core"},
-        {"overload-accounting",
-         "degradation-ladder rung writes sit within three lines of an "
-         "aero_overload_* rung-transition counter increment"},
         {"pragma-once", "every public header starts with #pragma once"},
         {"stats-accounting",
          "*Stats structs with balanced() keep the accounting comment "

@@ -25,10 +25,6 @@
 //                    histogram registration site follows the
 //                    `aero_<area>_<name>` pattern and is declared in
 //                    src/obs/metric_names.hpp
-//   overload-accounting
-//                    every write of a degradation-ladder rung state sits
-//                    within three lines of an `aero_overload_*`
-//                    rung-transition counter increment (DESIGN.md §14)
 //   arena-bypass     hot tensor-storage directories do not build storage
 //                    on std::vector<float> — float blocks go through
 //                    mem::Buffer so the mem::Arena sees them

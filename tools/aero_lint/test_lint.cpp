@@ -235,49 +235,6 @@ TEST(Rules, StatsAccountingComment) {
                     .empty());
 }
 
-TEST(Rules, OverloadAccountingFlagsUnmeteredRungWrites) {
-    EXPECT_TRUE(has_rule(
-        lint_snippet("src/a.cpp", "void f(L& l, int r) { l.rung_.store(r); }"),
-        "overload-accounting"));
-    EXPECT_TRUE(has_rule(
-        lint_snippet("src/a.cpp", "void f(S& s) { s.rung_ = 2; }"),
-        "overload-accounting"));
-}
-
-TEST(Rules, OverloadAccountingAcceptsMeteredWritesAndReads) {
-    // The canonical metered shape: counter inc on the adjacent line.
-    EXPECT_TRUE(lint_snippet("src/a.cpp",
-                             "void L::set_rung(int rung) {\n"
-                             "  rung_.store(rung);\n"
-                             "  metrics_.rung_transition[rung]->inc();\n"
-                             "}\n")
-                    .empty());
-    // An aero_overload_* literal within the window also satisfies it
-    // (registration sites name the counters directly).
-    EXPECT_FALSE(has_rule(
-        lint_snippet("src/a.cpp",
-                     "void f(R& reg) {\n"
-                     "  rung_ = 1;\n"
-                     "  reg.counter(\"aero_overload_rung_full_total\", "
-                     "\"h\")->inc();\n"
-                     "}\n"),
-        "overload-accounting"));
-    // Reads, comparisons and near-miss identifiers are not writes.
-    EXPECT_TRUE(lint_snippet("src/a.cpp",
-                             "int g() { return rung_.load(); }\n"
-                             "bool h() { return rung_ == 2; }\n"
-                             "int i() { return rung_for(1); }\n"
-                             "void j(int r) { plain_rung_ = r; }\n")
-                    .empty());
-    // Inline suppression works as for every rule.
-    EXPECT_TRUE(lint_snippet("src/a.cpp",
-                             "void k(int r) {\n"
-                             "  // aero-lint: allow(overload-accounting)\n"
-                             "  rung_ = r;\n"
-                             "}\n")
-                    .empty());
-}
-
 TEST(Rules, ArenaBypassFlagsVectorFloatInHotDirs) {
     // std::vector<float> in an arena dir is flagged, spacing-insensitive.
     EXPECT_TRUE(has_rule(
@@ -381,7 +338,6 @@ TEST(Fixtures, BadTreeTripsEveryRule) {
     EXPECT_TRUE(has_rule(findings, "unchecked-parse"));
     EXPECT_TRUE(has_rule(findings, "unchecked-io"));
     EXPECT_TRUE(has_rule(findings, "stats-accounting"));
-    EXPECT_TRUE(has_rule(findings, "overload-accounting"));
     EXPECT_TRUE(has_rule(findings, "arena-bypass"));
     // Both unregistered points are reported with their names.
     int unregistered = 0;
