@@ -6,10 +6,30 @@
 
 #include "mem/arena.hpp"
 #include "tensor/ops.hpp"
+#include "util/thread_pool.hpp"
 
 namespace aero::autograd {
 
 namespace ops = aero::tensor;
+
+namespace {
+
+thread_local bool t_grad_enabled = true;
+
+/// Floats of input per chunk for the normalisation kernels' pool
+/// dispatch. Units are whole rows or (sample, group) pairs and keep the
+/// serial reduction order, so this only sets chunk sizes, never bits.
+constexpr std::int64_t kMinNormChunk = 1 << 13;
+
+}  // namespace
+
+bool grad_enabled() { return t_grad_enabled; }
+
+NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) {
+    t_grad_enabled = false;
+}
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
 
 void Node::accumulate(const Tensor& delta) {
     if (!requires_grad) return;
@@ -38,18 +58,6 @@ Var Var::constant(Tensor value) {
 
 void Var::zero_grad() {
     if (node_) node_->grad = Tensor();
-}
-
-Var Var::make(Tensor value, std::vector<Var> parents,
-              std::function<void(const Tensor&)> backprop) {
-    auto node = std::make_shared<Node>();
-    node->value = std::move(value);
-    for (const Var& p : parents) {
-        node->parents.push_back(p.node());
-        node->requires_grad = node->requires_grad || p.requires_grad();
-    }
-    if (node->requires_grad) node->backprop = std::move(backprop);
-    return Var(std::move(node));
 }
 
 void Var::backward() const {
@@ -178,33 +186,54 @@ Var silu(const Var& a) {
 
 Var tanh(const Var& a) {
     auto an = a.node();
-    Tensor out = ops::tanh(a.value());
-    Tensor out_copy = out;
-    return Var::make(std::move(out), {a},
-                     [an, out_copy](const Tensor& g) {
-                         an->accumulate(ops::tanh_backward(g, out_copy));
+    return Var::make(ops::tanh(a.value()), {a},
+                     [an](const Tensor& g, const Tensor& out) {
+                         an->accumulate(ops::tanh_backward(g, out));
                      });
 }
 
 Var sigmoid(const Var& a) {
     auto an = a.node();
-    Tensor out = ops::sigmoid(a.value());
-    Tensor out_copy = out;
-    return Var::make(std::move(out), {a},
-                     [an, out_copy](const Tensor& g) {
-                         an->accumulate(ops::sigmoid_backward(g, out_copy));
+    return Var::make(ops::sigmoid(a.value()), {a},
+                     [an](const Tensor& g, const Tensor& out) {
+                         an->accumulate(ops::sigmoid_backward(g, out));
                      });
 }
 
 Var softmax_rows(const Var& a) {
     auto an = a.node();
-    Tensor out = ops::softmax_rows(a.value());
-    Tensor out_copy = out;
-    return Var::make(std::move(out), {a},
-                     [an, out_copy](const Tensor& g) {
-                         an->accumulate(
-                             ops::softmax_rows_backward(g, out_copy));
+    return Var::make(ops::softmax_rows(a.value()), {a},
+                     [an](const Tensor& g, const Tensor& out) {
+                         an->accumulate(ops::softmax_rows_backward(g, out));
                      });
+}
+
+// ---- attention --------------------------------------------------------------
+
+Var attention(const Var& q, const Var& k, const Var& v,
+              std::vector<tensor::AttentionSegment> segments, int heads,
+              float score_scale) {
+    // The softmax matrices are kept only for a node that gets recorded.
+    const bool record = grad_enabled() && (q.requires_grad() ||
+                                           k.requires_grad() ||
+                                           v.requires_grad());
+    Tensor probs;
+    Tensor out = ops::attention(q.value(), k.value(), v.value(), segments,
+                                heads, score_scale, record ? &probs : nullptr);
+    auto qn = q.node();
+    auto kn = k.node();
+    auto vn = v.node();
+    return Var::make(
+        std::move(out), {q, k, v},
+        [qn, kn, vn, segments = std::move(segments), heads, score_scale,
+         probs = std::move(probs)](const Tensor& g) {
+            ops::AttentionGrads grads = ops::attention_backward(
+                g, qn->value, kn->value, vn->value, probs, segments, heads,
+                score_scale);
+            qn->accumulate(grads.q);
+            kn->accumulate(grads.k);
+            vn->accumulate(grads.v);
+        });
 }
 
 // ---- convolution / spatial --------------------------------------------------
@@ -314,6 +343,23 @@ Var slice(const Var& a, int axis, int start, int stop) {
                      });
 }
 
+Var map_to_tokens(const Var& feature_map) {
+    auto mn = feature_map.node();
+    std::vector<int> shape = feature_map.value().shape();
+    return Var::make(ops::map_to_tokens(feature_map.value()), {feature_map},
+                     [mn, shape](const Tensor& g) {
+                         mn->accumulate(ops::tokens_to_map(g, shape));
+                     });
+}
+
+Var tokens_to_map(const Var& tokens, const std::vector<int>& map_shape) {
+    auto tn = tokens.node();
+    return Var::make(ops::tokens_to_map(tokens.value(), map_shape), {tokens},
+                     [tn](const Tensor& g) {
+                         tn->accumulate(ops::map_to_tokens(g));
+                     });
+}
+
 // ---- normalisation ----------------------------------------------------------
 
 Var layer_norm_rows(const Var& x, const Var& gamma, const Var& beta,
@@ -323,39 +369,45 @@ Var layer_norm_rows(const Var& x, const Var& gamma, const Var& beta,
     const int n = x.value().dim(1);
     assert(gamma.value().size() == n && beta.value().size() == n);
 
+    // Rows are independent units; each keeps the serial loop's order.
     Tensor normalized({m, n});
-    mem::Buffer inv_std(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-        const float* row = x.value().data() + i * n;
-        float mean = 0.0f;
-        for (int j = 0; j < n; ++j) mean += row[j];
-        mean /= static_cast<float>(n);
-        float var = 0.0f;
-        for (int j = 0; j < n; ++j) {
-            const float d = row[j] - mean;
-            var += d * d;
-        }
-        var /= static_cast<float>(n);
-        const float inv = 1.0f / std::sqrt(var + eps);
-        inv_std[static_cast<std::size_t>(i)] = inv;
-        float* out_row = normalized.data() + i * n;
-        for (int j = 0; j < n; ++j) out_row[j] = (row[j] - mean) * inv;
-    }
-
     Tensor out({m, n});
-    for (int i = 0; i < m; ++i) {
-        for (int j = 0; j < n; ++j) {
-            out[i * n + j] =
-                normalized[i * n + j] * gamma.value()[j] + beta.value()[j];
-        }
-    }
+    mem::Buffer inv_std(static_cast<std::size_t>(m));
+    const float* px = x.value().data();
+    const float* pg = gamma.value().data();
+    const float* pb = beta.value().data();
+    util::parallel_for(
+        0, m, util::grain_for(n, kMinNormChunk),
+        [&](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i) {
+                const float* row = px + i * n;
+                float mean = 0.0f;
+                for (int j = 0; j < n; ++j) mean += row[j];
+                mean /= static_cast<float>(n);
+                float var = 0.0f;
+                for (int j = 0; j < n; ++j) {
+                    const float d = row[j] - mean;
+                    var += d * d;
+                }
+                var /= static_cast<float>(n);
+                const float inv = 1.0f / std::sqrt(var + eps);
+                inv_std[static_cast<std::size_t>(i)] = inv;
+                float* norm_row = normalized.data() + i * n;
+                float* out_row = out.data() + i * n;
+                for (int j = 0; j < n; ++j) {
+                    norm_row[j] = (row[j] - mean) * inv;
+                    out_row[j] = norm_row[j] * pg[j] + pb[j];
+                }
+            }
+        });
 
     auto xn = x.node();
     auto gn = gamma.node();
     auto bn = beta.node();
     return Var::make(
         std::move(out), {x, gamma, beta},
-        [xn, gn, bn, normalized, inv_std, m, n](const Tensor& g) {
+        [xn, gn, bn, normalized = std::move(normalized),
+         inv_std = std::move(inv_std), m, n](const Tensor& g) {
             if (gn->requires_grad) {
                 Tensor dgamma({n});
                 for (int i = 0; i < m; ++i) {
@@ -370,26 +422,38 @@ Var layer_norm_rows(const Var& x, const Var& gamma, const Var& beta,
             }
             if (xn->requires_grad) {
                 Tensor dx({m, n});
-                for (int i = 0; i < m; ++i) {
-                    // dxhat = g * gamma; dx = (dxhat - mean(dxhat)
-                    //   - xhat * mean(dxhat * xhat)) * inv_std
-                    float mean_dxhat = 0.0f;
-                    float mean_dxhat_xhat = 0.0f;
-                    for (int j = 0; j < n; ++j) {
-                        const float dxhat = g[i * n + j] * gn->value[j];
-                        mean_dxhat += dxhat;
-                        mean_dxhat_xhat += dxhat * normalized[i * n + j];
-                    }
-                    mean_dxhat /= static_cast<float>(n);
-                    mean_dxhat_xhat /= static_cast<float>(n);
-                    for (int j = 0; j < n; ++j) {
-                        const float dxhat = g[i * n + j] * gn->value[j];
-                        dx[i * n + j] =
-                            (dxhat - mean_dxhat -
-                             normalized[i * n + j] * mean_dxhat_xhat) *
-                            inv_std[static_cast<std::size_t>(i)];
-                    }
-                }
+                const float* pgrad = g.data();
+                const float* pnorm = normalized.data();
+                const float* pgamma = gn->value.data();
+                float* pdx = dx.data();
+                util::parallel_for(
+                    0, m, util::grain_for(n, kMinNormChunk),
+                    [&](std::int64_t i0, std::int64_t i1) {
+                        for (std::int64_t i = i0; i < i1; ++i) {
+                            const float* gi = pgrad + i * n;
+                            const float* xh = pnorm + i * n;
+                            // dxhat = g * gamma; dx = (dxhat - mean(dxhat)
+                            //   - xhat * mean(dxhat * xhat)) * inv_std
+                            float mean_dxhat = 0.0f;
+                            float mean_dxhat_xhat = 0.0f;
+                            for (int j = 0; j < n; ++j) {
+                                const float dxhat = gi[j] * pgamma[j];
+                                mean_dxhat += dxhat;
+                                mean_dxhat_xhat += dxhat * xh[j];
+                            }
+                            mean_dxhat /= static_cast<float>(n);
+                            mean_dxhat_xhat /= static_cast<float>(n);
+                            const float inv =
+                                inv_std[static_cast<std::size_t>(i)];
+                            float* dxi = pdx + i * n;
+                            for (int j = 0; j < n; ++j) {
+                                const float dxhat = gi[j] * pgamma[j];
+                                dxi[j] = (dxhat - mean_dxhat -
+                                          xh[j] * mean_dxhat_xhat) *
+                                         inv;
+                            }
+                        }
+                    });
                 xn->accumulate(dx);
             }
         });
@@ -405,116 +469,138 @@ Var group_norm(const Var& x, int groups, const Var& gamma, const Var& beta,
     assert(c % groups == 0);
     assert(gamma.value().size() == c && beta.value().size() == c);
     const int cpg = c / groups;          // channels per group
-    const int group_size = cpg * h * w;  // elements per normalisation group
-
-    Tensor normalized(x.value().shape());
-    mem::Buffer inv_std(static_cast<std::size_t>(n * groups));
-
-    for (int b = 0; b < n; ++b) {
-        for (int g0 = 0; g0 < groups; ++g0) {
-            const float* base =
-                x.value().data() + ((b * c + g0 * cpg) * h) * w;
-            float mean = 0.0f;
-            for (int i = 0; i < group_size; ++i) mean += base[i];
-            mean /= static_cast<float>(group_size);
-            float var = 0.0f;
-            for (int i = 0; i < group_size; ++i) {
-                const float d = base[i] - mean;
-                var += d * d;
-            }
-            var /= static_cast<float>(group_size);
-            const float inv = 1.0f / std::sqrt(var + eps);
-            inv_std[static_cast<std::size_t>(b * groups + g0)] = inv;
-            float* out_base =
-                normalized.data() + ((b * c + g0 * cpg) * h) * w;
-            for (int i = 0; i < group_size; ++i) {
-                out_base[i] = (base[i] - mean) * inv;
-            }
-        }
-    }
-
-    Tensor out(x.value().shape());
     const int spatial = h * w;
-    for (int b = 0; b < n; ++b) {
-        for (int ch = 0; ch < c; ++ch) {
-            const float* src = normalized.data() + (b * c + ch) * spatial;
-            float* dst = out.data() + (b * c + ch) * spatial;
-            const float gm = gamma.value()[ch];
-            const float bt = beta.value()[ch];
-            for (int s = 0; s < spatial; ++s) dst[s] = src[s] * gm + bt;
-        }
-    }
+    const int group_size = cpg * spatial;  // elements per normalisation group
+
+    // (sample, group) pairs are independent units; each keeps the
+    // serial loop's reduction order.
+    Tensor normalized(x.value().shape());
+    Tensor out(x.value().shape());
+    mem::Buffer inv_std(static_cast<std::size_t>(n * groups));
+    const float* px = x.value().data();
+    const float* pgamma = gamma.value().data();
+    const float* pbeta = beta.value().data();
+    util::parallel_for(
+        0, static_cast<std::int64_t>(n) * groups,
+        util::grain_for(group_size, kMinNormChunk),
+        [&](std::int64_t u0, std::int64_t u1) {
+            for (std::int64_t unit = u0; unit < u1; ++unit) {
+                const int g0 = static_cast<int>(unit % groups);
+                const std::int64_t offset = unit * group_size;
+                const float* base = px + offset;
+                float mean = 0.0f;
+                for (int i = 0; i < group_size; ++i) mean += base[i];
+                mean /= static_cast<float>(group_size);
+                float var = 0.0f;
+                for (int i = 0; i < group_size; ++i) {
+                    const float d = base[i] - mean;
+                    var += d * d;
+                }
+                var /= static_cast<float>(group_size);
+                const float inv = 1.0f / std::sqrt(var + eps);
+                inv_std[static_cast<std::size_t>(unit)] = inv;
+                float* norm_base = normalized.data() + offset;
+                for (int i = 0; i < group_size; ++i) {
+                    norm_base[i] = (base[i] - mean) * inv;
+                }
+                float* out_base = out.data() + offset;
+                for (int ci = 0; ci < cpg; ++ci) {
+                    const int ch = g0 * cpg + ci;
+                    const float gm = pgamma[ch];
+                    const float bt = pbeta[ch];
+                    const float* src = norm_base + ci * spatial;
+                    float* dst = out_base + ci * spatial;
+                    for (int s = 0; s < spatial; ++s) dst[s] = src[s] * gm + bt;
+                }
+            }
+        });
 
     auto xn = x.node();
     auto gn = gamma.node();
     auto bn = beta.node();
     return Var::make(
         std::move(out), {x, gamma, beta},
-        [xn, gn, bn, normalized, inv_std, n, c, groups, cpg, spatial,
+        [xn, gn, bn, normalized = std::move(normalized),
+         inv_std = std::move(inv_std), n, c, groups, cpg, spatial,
          group_size](const Tensor& g) {
+            const float* pgrad = g.data();
+            const float* pnorm = normalized.data();
             if (gn->requires_grad || bn->requires_grad) {
+                // Channels are the units: each sums its per-sample
+                // partials in ascending sample order, as the serial loop.
                 Tensor dgamma({c});
                 Tensor dbeta({c});
-                for (int b = 0; b < n; ++b) {
-                    for (int ch = 0; ch < c; ++ch) {
-                        const float* gp = g.data() + (b * c + ch) * spatial;
-                        const float* xh =
-                            normalized.data() + (b * c + ch) * spatial;
-                        float dg = 0.0f;
-                        float db = 0.0f;
-                        for (int s = 0; s < spatial; ++s) {
-                            dg += gp[s] * xh[s];
-                            db += gp[s];
+                util::parallel_for(
+                    0, c,
+                    util::grain_for(static_cast<std::int64_t>(n) * spatial,
+                                    kMinNormChunk),
+                    [&](std::int64_t c0, std::int64_t c1) {
+                        for (std::int64_t ch = c0; ch < c1; ++ch) {
+                            for (int b = 0; b < n; ++b) {
+                                const std::int64_t offset =
+                                    (b * c + ch) * spatial;
+                                const float* gp = pgrad + offset;
+                                const float* xh = pnorm + offset;
+                                float dg = 0.0f;
+                                float db = 0.0f;
+                                for (int s = 0; s < spatial; ++s) {
+                                    dg += gp[s] * xh[s];
+                                    db += gp[s];
+                                }
+                                dgamma[static_cast<int>(ch)] += dg;
+                                dbeta[static_cast<int>(ch)] += db;
+                            }
                         }
-                        dgamma[ch] += dg;
-                        dbeta[ch] += db;
-                    }
-                }
+                    });
                 if (gn->requires_grad) gn->accumulate(dgamma);
                 if (bn->requires_grad) bn->accumulate(dbeta);
             }
             if (xn->requires_grad) {
                 Tensor dx(xn->value.shape());
-                for (int b = 0; b < n; ++b) {
-                    for (int g0 = 0; g0 < groups; ++g0) {
-                        const int offset = (b * c + g0 * cpg) * spatial;
-                        float mean_dxhat = 0.0f;
-                        float mean_dxhat_xhat = 0.0f;
-                        for (int ci = 0; ci < cpg; ++ci) {
-                            const int ch = g0 * cpg + ci;
-                            const float gm = gn->value[ch];
-                            const float* gp =
-                                g.data() + (b * c + ch) * spatial;
-                            const float* xh =
-                                normalized.data() + (b * c + ch) * spatial;
-                            for (int s = 0; s < spatial; ++s) {
-                                const float dxhat = gp[s] * gm;
-                                mean_dxhat += dxhat;
-                                mean_dxhat_xhat += dxhat * xh[s];
+                const float* pgamma_v = gn->value.data();
+                float* pdx = dx.data();
+                util::parallel_for(
+                    0, static_cast<std::int64_t>(n) * groups,
+                    util::grain_for(group_size, kMinNormChunk),
+                    [&](std::int64_t u0, std::int64_t u1) {
+                        for (std::int64_t unit = u0; unit < u1; ++unit) {
+                            const int g0 = static_cast<int>(unit % groups);
+                            const std::int64_t offset = unit * group_size;
+                            float mean_dxhat = 0.0f;
+                            float mean_dxhat_xhat = 0.0f;
+                            for (int ci = 0; ci < cpg; ++ci) {
+                                const float gm = pgamma_v[g0 * cpg + ci];
+                                const float* gp =
+                                    pgrad + offset + ci * spatial;
+                                const float* xh =
+                                    pnorm + offset + ci * spatial;
+                                for (int s = 0; s < spatial; ++s) {
+                                    const float dxhat = gp[s] * gm;
+                                    mean_dxhat += dxhat;
+                                    mean_dxhat_xhat += dxhat * xh[s];
+                                }
+                            }
+                            mean_dxhat /= static_cast<float>(group_size);
+                            mean_dxhat_xhat /=
+                                static_cast<float>(group_size);
+                            const float inv =
+                                inv_std[static_cast<std::size_t>(unit)];
+                            for (int ci = 0; ci < cpg; ++ci) {
+                                const float gm = pgamma_v[g0 * cpg + ci];
+                                const float* gp =
+                                    pgrad + offset + ci * spatial;
+                                const float* xh =
+                                    pnorm + offset + ci * spatial;
+                                float* dxp = pdx + offset + ci * spatial;
+                                for (int s = 0; s < spatial; ++s) {
+                                    const float dxhat = gp[s] * gm;
+                                    dxp[s] = (dxhat - mean_dxhat -
+                                              xh[s] * mean_dxhat_xhat) *
+                                             inv;
+                                }
                             }
                         }
-                        mean_dxhat /= static_cast<float>(group_size);
-                        mean_dxhat_xhat /= static_cast<float>(group_size);
-                        const float inv =
-                            inv_std[static_cast<std::size_t>(b * groups + g0)];
-                        for (int ci = 0; ci < cpg; ++ci) {
-                            const int ch = g0 * cpg + ci;
-                            const float gm = gn->value[ch];
-                            const float* gp =
-                                g.data() + (b * c + ch) * spatial;
-                            const float* xh =
-                                normalized.data() + (b * c + ch) * spatial;
-                            float* dxp = dx.data() + offset +
-                                         ci * spatial;
-                            for (int s = 0; s < spatial; ++s) {
-                                const float dxhat = gp[s] * gm;
-                                dxp[s] = (dxhat - mean_dxhat -
-                                          xh[s] * mean_dxhat_xhat) *
-                                         inv;
-                            }
-                        }
-                    }
-                }
+                    });
                 xn->accumulate(dx);
             }
         });
@@ -575,14 +661,14 @@ Var mse_loss(const Var& prediction, const Var& target) {
     assert(prediction.value().same_shape(target.value()));
     auto pn = prediction.node();
     auto tn = target.node();
-    const Tensor diff = ops::sub(prediction.value(), target.value());
+    Tensor diff = ops::sub(prediction.value(), target.value());
     Tensor out({1});
     double acc = 0.0;
     for (float v : diff) acc += static_cast<double>(v) * v;
     out[0] = static_cast<float>(acc / diff.size());
     const float inv = 2.0f / static_cast<float>(diff.size());
     return Var::make(std::move(out), {prediction, target},
-                     [pn, tn, diff, inv](const Tensor& g) {
+                     [pn, tn, diff = std::move(diff), inv](const Tensor& g) {
                          Tensor d = ops::scale(diff, g[0] * inv);
                          pn->accumulate(d);
                          if (tn->requires_grad) tn->accumulate(ops::neg(d));
@@ -595,7 +681,7 @@ Var cross_entropy_rows(const Var& logits, const std::vector<int>& targets) {
     const int n = logits.value().dim(1);
     assert(static_cast<int>(targets.size()) == m);
 
-    const Tensor probs = ops::softmax_rows(logits.value());
+    Tensor probs = ops::softmax_rows(logits.value());
     Tensor out({1});
     double loss = 0.0;
     for (int i = 0; i < m; ++i) {
@@ -608,7 +694,8 @@ Var cross_entropy_rows(const Var& logits, const std::vector<int>& targets) {
 
     auto ln = logits.node();
     return Var::make(std::move(out), {logits},
-                     [ln, probs, targets, m, n](const Tensor& g) {
+                     [ln, probs = std::move(probs), targets, m,
+                      n](const Tensor& g) {
                          Tensor dl({m, n});
                          const float inv = g[0] / static_cast<float>(m);
                          for (int i = 0; i < m; ++i) {

@@ -7,9 +7,16 @@
 // ordered sweep accumulating gradients into every node that requires
 // them. Leaf nodes (parameters) persist across steps: the optimizer
 // reads `grad()` and the training loop calls `zero_grad()`.
+//
+// Inference runs under a `NoGradGuard` (DESIGN.md §18): ops then return
+// leaves holding only their value, so a forward pass allocates no graph
+// and frees each activation as soon as its last handle drops.
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -29,6 +36,25 @@ struct Node {
 
     /// Adds `delta` into `grad`, allocating zeros on first touch.
     void accumulate(const Tensor& delta);
+};
+
+/// False while a NoGradGuard is alive on the calling thread.
+bool grad_enabled();
+
+/// Thread-local RAII switch: while one is alive on a thread, every op on
+/// that thread returns a leaf (no parents, no backprop closure,
+/// requires_grad() false) with the same value it would have recorded.
+/// Guards nest; each restores the state it found on scope exit, also
+/// during exception unwinding. Other threads are unaffected.
+class NoGradGuard {
+public:
+    NoGradGuard();
+    ~NoGradGuard();
+    NoGradGuard(const NoGradGuard&) = delete;
+    NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+private:
+    bool previous_;
 };
 
 class Var {
@@ -58,12 +84,58 @@ public:
     const std::shared_ptr<Node>& node() const { return node_; }
 
     /// Builds an interior node. `backprop` receives the node's upstream
-    /// gradient and must call accumulate() on the captured parents.
-    static Var make(Tensor value, std::vector<Var> parents,
-                    std::function<void(const Tensor&)> backprop);
+    /// gradient (and, when it takes a second argument, the node's own
+    /// value, so it need not hold a copy of the output) and must call
+    /// accumulate() on the captured parents. The node is recorded only
+    /// when gradients are enabled and some parent requires grad;
+    /// otherwise the result is a leaf and `backprop` is dropped without
+    /// ever being type-erased.
+    template <typename Backprop>
+    static Var make(Tensor value, std::initializer_list<Var> parents,
+                    Backprop&& backprop) {
+        return make_from(std::move(value), parents.begin(), parents.end(),
+                         std::forward<Backprop>(backprop));
+    }
+    template <typename Backprop>
+    static Var make(Tensor value, const std::vector<Var>& parents,
+                    Backprop&& backprop) {
+        return make_from(std::move(value), parents.data(),
+                         parents.data() + parents.size(),
+                         std::forward<Backprop>(backprop));
+    }
 
 private:
     explicit Var(std::shared_ptr<Node> node) : node_(std::move(node)) {}
+
+    template <typename Backprop>
+    static Var make_from(Tensor value, const Var* first, const Var* last,
+                         Backprop&& backprop) {
+        auto node = std::make_shared<Node>();
+        node->value = std::move(value);
+        if (!grad_enabled()) return Var(std::move(node));
+        for (const Var* p = first; p != last; ++p) {
+            if (p->requires_grad()) node->requires_grad = true;
+        }
+        if (!node->requires_grad) return Var(std::move(node));
+        node->parents.reserve(static_cast<std::size_t>(last - first));
+        for (const Var* p = first; p != last; ++p) {
+            node->parents.push_back(p->node());
+        }
+        if constexpr (std::is_invocable_v<Backprop&, const Tensor&,
+                                          const Tensor&>) {
+            // The closure lives in the node it reads, so the raw pointer
+            // cannot outlive its target.
+            const Node* self = node.get();
+            node->backprop = [fn = std::forward<Backprop>(backprop),
+                              self](const Tensor& upstream) {
+                fn(upstream, self->value);
+            };
+        } else {
+            node->backprop = std::forward<Backprop>(backprop);
+        }
+        return Var(std::move(node));
+    }
+
     std::shared_ptr<Node> node_;
 };
 
@@ -89,6 +161,16 @@ Var tanh(const Var& a);
 Var sigmoid(const Var& a);
 Var softmax_rows(const Var& a);
 
+// ---- attention --------------------------------------------------------------
+
+/// Multi-head softmax(Q_h K_hᵀ · scale) V_h over every segment at once
+/// (tensor::attention): q [Tq, D], k and v [Tk, D] -> [Tq, D]. The
+/// backward runs the per-head matmul_nt / matmul_tn /
+/// softmax_rows_backward kernels of the graph this op replaces.
+Var attention(const Var& q, const Var& k, const Var& v,
+              std::vector<tensor::AttentionSegment> segments, int heads,
+              float score_scale);
+
 // ---- convolution / spatial --------------------------------------------------
 
 Var conv2d(const Var& input, const Var& weight, const Var& bias,
@@ -104,6 +186,10 @@ Var global_avg_pool(const Var& input);
 Var reshape(const Var& a, std::vector<int> shape);
 Var concat(const std::vector<Var>& parts, int axis);
 Var slice(const Var& a, int axis, int start, int stop);
+/// [N,C,H,W] feature map -> [N·H·W, C] token table (tensor::map_to_tokens).
+Var map_to_tokens(const Var& feature_map);
+/// Inverse of map_to_tokens; `map_shape` is the [N,C,H,W] to restore.
+Var tokens_to_map(const Var& tokens, const std::vector<int>& map_shape);
 
 // ---- normalisation ----------------------------------------------------------
 

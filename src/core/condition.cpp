@@ -29,6 +29,7 @@ ConditionFeatures compute_condition_features(const Substrate& substrate,
                                              const std::string& target_caption,
                                              bool use_object_detection,
                                              int max_rois) {
+    const ag::NoGradGuard no_grad;
     ConditionFeatures features;
     const embed::ClipModel& clip = *substrate.clip;
     const text::Vocabulary& vocab = text::Vocabulary::aerial();

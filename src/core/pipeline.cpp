@@ -371,6 +371,7 @@ std::optional<scene::BoundingBox> AeroDiffusionPipeline::clamp_region(
 
 Tensor AeroDiffusionPipeline::checked_condition(
     const ConditionFeatures& features, GenerateControl* control) const {
+    const autograd::NoGradGuard no_grad;
     Tensor cond = condition_encoder_.encode(features).value();
     for (const float v : cond) {
         if (!std::isfinite(v)) {

@@ -44,6 +44,7 @@ float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 std::vector<BoundingBox> GridDetector::detect(const image::Image& img,
                                               float objectness_threshold,
                                               float nms_iou) const {
+    const ag::NoGradGuard no_grad;
     image::Image sized = img;
     if (img.width() != config_.image_size ||
         img.height() != config_.image_size) {

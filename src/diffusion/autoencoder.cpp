@@ -48,6 +48,7 @@ Var LatentAutoencoder::decode(const Var& latents) const {
 }
 
 Tensor LatentAutoencoder::encode_image(const image::Image& img) const {
+    const ag::NoGradGuard no_grad;
     image::Image sized = img;
     if (img.width() != config_.image_size ||
         img.height() != config_.image_size) {
@@ -62,6 +63,7 @@ Tensor LatentAutoencoder::encode_image(const image::Image& img) const {
 
 image::Image LatentAutoencoder::decode_latent(const Tensor& latent) const {
     assert(latent.rank() == 3);
+    const ag::NoGradGuard no_grad;
     const int s = config_.latent_size();
     const Var out = decode(Var::constant(
         latent.reshaped({1, config_.latent_channels, s, s})));

@@ -159,6 +159,9 @@ std::vector<Tensor> BatchedDdimScheduler::batched_guided_eps(
     const std::vector<const Request*>& requests,
     const std::vector<const Tensor*>& latents,
     const std::vector<int>& timesteps) const {
+    // Inference only: the forward below records no graph, whether it
+    // runs on the step batcher's thread or inline.
+    const autograd::NoGradGuard no_grad;
     const int total_steps = schedule_.steps();
 
     // A CFG request contributes a conditional and an unconditional row

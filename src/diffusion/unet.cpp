@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 namespace aero::diffusion {
 
@@ -96,24 +97,6 @@ UNet::UNet(const UNetConfig& config, util::Rng& rng)
     cross_attn_.init_output_zero();
 }
 
-Var UNet::attend(const Var& features, const Var& condition_tokens) const {
-    // features: [1, 2C, h, w] for ONE sample.
-    const int channels = features.value().dim(1);
-    const int tokens = features.value().dim(2) * features.value().dim(3);
-
-    const Var context = condition_tokens.defined()
-                            ? cond_proj_.forward(condition_tokens)
-                            : cond_proj_.forward(null_token_);
-
-    const Var seq = ag::transpose2d(
-        ag::reshape(features, {channels, tokens}));  // [T, 2C]
-    const Var attended =
-        ag::add(seq, cross_attn_.forward(attn_norm_.forward(seq), context));
-    return ag::reshape(ag::transpose2d(attended),
-                       {1, channels, features.value().dim(2),
-                        features.value().dim(3)});
-}
-
 Var UNet::forward(const Var& z, const std::vector<int>& t, int total_steps,
                   const std::vector<Tensor>& condition_tokens) const {
     std::vector<Var> vars;
@@ -132,6 +115,14 @@ Var UNet::forward(const Var& z, const std::vector<int>& t, int total_steps,
 
     Var temb = time_embedding_.forward(t, total_steps);  // [N, time]
 
+    // Each sample's condition rows (the learned null token for an
+    // unconditional sample), stacked in sample order.
+    std::vector<Var> sources;
+    sources.reserve(static_cast<std::size_t>(n));
+    for (const Var& tokens : condition_tokens) {
+        sources.push_back(tokens.defined() ? tokens : null_token_);
+    }
+
     // FiLM-style injection: the mean-pooled condition is projected into
     // the time-embedding space and added per sample, so conditioning
     // modulates every residual block (concatenation into each hidden
@@ -140,10 +131,7 @@ Var UNet::forward(const Var& z, const std::vector<int>& t, int total_steps,
     {
         std::vector<Var> pooled_rows;
         pooled_rows.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            const Var& tokens =
-                condition_tokens[static_cast<std::size_t>(i)];
-            const Var source = tokens.defined() ? tokens : null_token_;
+        for (const Var& source : sources) {
             const int k = source.value().dim(0);
             Tensor averaging({1, k});
             for (int j = 0; j < k; ++j) {
@@ -162,15 +150,31 @@ Var UNet::forward(const Var& z, const std::vector<int>& t, int total_steps,
     Var mid = ag::avg_pool2x(skip);
     mid = mid_block_in_.forward(mid, temb);         // [N, 2C, H/2, W/2]
 
-    // Cross-attention runs per sample: each has its own condition set.
-    std::vector<Var> attended;
-    attended.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        const Var sample = ag::slice(mid, 0, i, i + 1);
-        attended.push_back(
-            attend(sample, condition_tokens[static_cast<std::size_t>(i)]));
+    // Cross-attention over the whole batch at once: the bottleneck
+    // becomes one [N·T, 2C] token table, and sample i's T tokens attend
+    // over its own projected condition rows only (one attention segment
+    // per sample). Every projection is row-independent, so each row
+    // equals the per-sample computation bit for bit (DESIGN.md §18).
+    {
+        const std::vector<int> map_shape = mid.value().shape();
+        const int tokens = map_shape[2] * map_shape[3];
+        std::vector<tensor::AttentionSegment> segments;
+        segments.reserve(static_cast<std::size_t>(n));
+        int context_rows = 0;
+        for (int i = 0; i < n; ++i) {
+            const int k =
+                sources[static_cast<std::size_t>(i)].value().dim(0);
+            segments.push_back({i * tokens, tokens, context_rows, k});
+            context_rows += k;
+        }
+        const Var context = cond_proj_.forward(
+            n == 1 ? sources.front() : ag::concat(sources, 0));
+        const Var seq = ag::map_to_tokens(mid);  // [N·T, 2C]
+        const Var attended =
+            ag::add(seq, cross_attn_.forward(attn_norm_.forward(seq),
+                                             context, std::move(segments)));
+        mid = ag::tokens_to_map(attended, map_shape);
     }
-    mid = n == 1 ? attended.front() : ag::concat(attended, 0);
 
     mid = mid_block_out_.forward(mid, temb);
     Var up = ag::upsample_nearest2x(mid);           // [N, 2C, H, W]
@@ -182,6 +186,7 @@ Var UNet::forward(const Var& z, const std::vector<int>& t, int total_steps,
 Tensor UNet::denoise(const Tensor& z, int t, int total_steps,
                      const Tensor& condition_tokens) const {
     assert(z.rank() == 3);  // [C, H, W]
+    const ag::NoGradGuard no_grad;
     const Var batched = Var::constant(
         z.reshaped({1, z.dim(0), z.dim(1), z.dim(2)}));
     const Var out = forward(batched, {t}, total_steps, {condition_tokens});

@@ -75,18 +75,14 @@ public:
     Var forward(const Var& z, const std::vector<int>& t, int total_steps,
                 const std::vector<Var>& condition_tokens) const;
 
-    /// Single-sample convenience used by the samplers (no grad needed by
-    /// callers; they read .value()).
+    /// Single-sample inference convenience used by the DDPM sampler; runs
+    /// under a NoGradGuard.
     Tensor denoise(const Tensor& z, int t, int total_steps,
                    const Tensor& condition_tokens) const;
 
     const UNetConfig& config() const { return config_; }
 
 private:
-    /// Cross-attention of bottleneck tokens over one sample's condition
-    /// (undefined Var = null token).
-    Var attend(const Var& features, const Var& condition_tokens) const;
-
     UNetConfig config_;
     TimeEmbedding time_embedding_;
     nn::Linear cond_pool_proj_;  ///< pooled condition -> time-embedding space

@@ -104,10 +104,10 @@ Var normalize_rows(const Var& x, float eps) {
     }
 
     auto xn = x.node();
-    const Tensor normalized = out;
     return Var::make(
         std::move(out), {x},
-        [xn, normalized, inv_norms, n, d](const Tensor& g) {
+        [xn, inv_norms = std::move(inv_norms), n, d](const Tensor& g,
+                                                    const Tensor& normalized) {
             // d(x/||x||)/dx applied to g: (g - y (y . g)) / ||x||
             Tensor dx({n, d});
             for (int i = 0; i < n; ++i) {

@@ -70,6 +70,7 @@ void append_moments(const Tensor& activations, int channels,
 }  // namespace
 
 std::vector<double> FeatureNet::features(const image::Image& img) const {
+    const ag::NoGradGuard no_grad;
     image::Image sized = img;
     if (img.width() != config_.image_size ||
         img.height() != config_.image_size) {

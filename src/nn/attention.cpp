@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace aero::nn {
 
@@ -23,6 +24,13 @@ MultiHeadAttention::MultiHeadAttention(int dim, int heads, util::Rng& rng)
 }
 
 Var MultiHeadAttention::forward(const Var& query, const Var& context) const {
+    return forward(query, context,
+                   {{0, query.value().dim(0), 0, context.value().dim(0)}});
+}
+
+Var MultiHeadAttention::forward(
+    const Var& query, const Var& context,
+    std::vector<tensor::AttentionSegment> segments) const {
     assert(query.value().rank() == 2 && query.value().dim(1) == dim_);
     assert(context.value().rank() == 2 && context.value().dim(1) == dim_);
 
@@ -30,24 +38,11 @@ Var MultiHeadAttention::forward(const Var& query, const Var& context) const {
     const Var k = wk_.forward(context);  // [Tk, dim]
     const Var v = wv_.forward(context);  // [Tk, dim]
 
+    // softmax(Q K^T / sqrt(d_k)) V per head -- Eq. 2.
     const float inv_sqrt_dk =
         1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-    std::vector<Var> head_outputs;
-    head_outputs.reserve(static_cast<std::size_t>(heads_));
-    for (int h = 0; h < heads_; ++h) {
-        const int lo = h * head_dim_;
-        const int hi = lo + head_dim_;
-        const Var qh = ag::slice(q, 1, lo, hi);  // [Tq, hd]
-        const Var kh = ag::slice(k, 1, lo, hi);  // [Tk, hd]
-        const Var vh = ag::slice(v, 1, lo, hi);  // [Tk, hd]
-        // softmax(Q K^T / sqrt(d_k)) V  -- Eq. 2.
-        const Var scores =
-            ag::scale(ag::matmul(qh, ag::transpose2d(kh)), inv_sqrt_dk);
-        const Var weights = ag::softmax_rows(scores);  // [Tq, Tk]
-        head_outputs.push_back(ag::matmul(weights, vh));
-    }
-    const Var merged = ag::concat(head_outputs, 1);  // [Tq, dim]
+    const Var merged =
+        ag::attention(q, k, v, std::move(segments), heads_, inv_sqrt_dk);
     return wo_.forward(merged);
 }
 

@@ -1,8 +1,10 @@
 #pragma once
-// Multi-head scaled dot-product attention (Eq. 2-3 of the paper).
-// Operates on unbatched token matrices [T, d]; the library's sequence
-// lengths are tiny (a handful of region tokens / caption tokens), so
-// per-head slicing in a loop is both clear and fast enough.
+// Multi-head scaled dot-product attention (Eq. 2-3 of the paper) over
+// token matrices [T, d]. The softmax(QKᵀ/√d)V core is the one fused
+// autograd::attention op; a segmented call runs many independent token
+// sets (one per sample of a batch) through one set of projections.
+
+#include <vector>
 
 #include "nn/layers.hpp"
 
@@ -14,8 +16,16 @@ public:
     MultiHeadAttention(int dim, int heads, util::Rng& rng);
 
     /// Cross-attention: queries from `query` [Tq, dim], keys/values from
-    /// `context` [Tk, dim]. Self-attention is forward(x, x).
+    /// `context` [Tk, dim]. Self-attention is forward(x, x). This is the
+    /// one-segment case of the segmented form below.
     Var forward(const Var& query, const Var& context) const;
+
+    /// Segmented cross-attention: each segment's query rows attend over
+    /// its own context rows only, while wq/wk/wv/wo each run once over
+    /// all rows. Row for row this equals one forward(query, context) call
+    /// per segment, bit for bit.
+    Var forward(const Var& query, const Var& context,
+                std::vector<tensor::AttentionSegment> segments) const;
 
     /// Self-attention convenience wrapper.
     Var forward(const Var& x) const { return forward(x, x); }

@@ -22,12 +22,13 @@ constexpr std::int64_t kElemGrain = 16384;        ///< cheap elementwise ops
 constexpr std::int64_t kMinChunkFlops = 1 << 16;  ///< mul-adds per chunk
 constexpr std::int64_t kMinChunkExp = 1 << 11;    ///< transcendentals/chunk
 
-/// Applies `fn` elementwise producing a fresh tensor.
+/// Applies `fn` elementwise producing a fresh tensor. `grain` is
+/// kMinChunkExp for maps that evaluate a transcendental per element.
 template <typename Fn>
-Tensor map(const Tensor& a, Fn fn) {
+Tensor map(const Tensor& a, Fn fn, std::int64_t grain = kElemGrain) {
     Tensor out = a;
     float* po = out.data();
-    util::parallel_for(0, out.size(), kElemGrain,
+    util::parallel_for(0, out.size(), grain,
                        [&](std::int64_t lo, std::int64_t hi) {
                            for (std::int64_t i = lo; i < hi; ++i) {
                                po[i] = fn(po[i]);
@@ -36,14 +37,15 @@ Tensor map(const Tensor& a, Fn fn) {
     return out;
 }
 
-/// Combines two same-shaped tensors elementwise.
+/// Combines two same-shaped tensors elementwise (`grain` as for map).
 template <typename Fn>
-Tensor zip(const Tensor& a, const Tensor& b, Fn fn) {
+Tensor zip(const Tensor& a, const Tensor& b, Fn fn,
+           std::int64_t grain = kElemGrain) {
     assert(a.same_shape(b));
     Tensor out = a;
     const float* pb = b.data();
     float* po = out.data();
-    util::parallel_for(0, out.size(), kElemGrain,
+    util::parallel_for(0, out.size(), grain,
                        [&](std::int64_t lo, std::int64_t hi) {
                            for (std::int64_t i = lo; i < hi; ++i) {
                                po[i] = fn(po[i], pb[i]);
@@ -101,7 +103,7 @@ Tensor neg(const Tensor& a) {
 }
 
 Tensor exp(const Tensor& a) {
-    return map(a, [](float x) { return std::exp(x); });
+    return map(a, [](float x) { return std::exp(x); }, kMinChunkExp);
 }
 
 Tensor relu(const Tensor& a) {
@@ -114,32 +116,38 @@ Tensor relu_backward(const Tensor& grad, const Tensor& input) {
 }
 
 Tensor silu(const Tensor& a) {
-    return map(a, [](float x) { return x * stable_sigmoid(x); });
+    return map(
+        a, [](float x) { return x * stable_sigmoid(x); }, kMinChunkExp);
 }
 
 Tensor silu_backward(const Tensor& grad, const Tensor& input) {
-    return zip(grad, input, [](float g, float x) {
-        const float s = stable_sigmoid(x);
-        return g * (s + x * s * (1.0f - s));
-    });
+    return zip(
+        grad, input,
+        [](float g, float x) {
+            const float s = stable_sigmoid(x);
+            return g * (s + x * s * (1.0f - s));
+        },
+        kMinChunkExp);
 }
 
 Tensor tanh(const Tensor& a) {
-    return map(a, [](float x) { return std::tanh(x); });
+    return map(a, [](float x) { return std::tanh(x); }, kMinChunkExp);
 }
 
 Tensor tanh_backward(const Tensor& grad, const Tensor& output) {
-    return zip(grad, output,
-               [](float g, float y) { return g * (1.0f - y * y); });
+    return zip(
+        grad, output, [](float g, float y) { return g * (1.0f - y * y); },
+        kMinChunkExp);
 }
 
 Tensor sigmoid(const Tensor& a) {
-    return map(a, [](float x) { return stable_sigmoid(x); });
+    return map(a, [](float x) { return stable_sigmoid(x); }, kMinChunkExp);
 }
 
 Tensor sigmoid_backward(const Tensor& grad, const Tensor& output) {
-    return zip(grad, output,
-               [](float g, float y) { return g * y * (1.0f - y); });
+    return zip(
+        grad, output, [](float g, float y) { return g * y * (1.0f - y); },
+        kMinChunkExp);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -351,6 +359,159 @@ Tensor softmax_rows_backward(const Tensor& grad, const Tensor& output) {
                            }
                        });
     return out;
+}
+
+namespace {
+
+/// Copy of the [rows, cols] block of a 2-D tensor at (row0, col0).
+Tensor block(const Tensor& a, int row0, int rows, int col0, int cols) {
+    return slice(slice(a, 0, row0, row0 + rows), 1, col0, col0 + cols);
+}
+
+/// Adds `part` into the block of `into` at (row0, col0).
+void add_block(Tensor* into, const Tensor& part, int row0, int col0) {
+    const int rows = part.dim(0);
+    const int cols = part.dim(1);
+    const int stride = into->dim(1);
+    for (int i = 0; i < rows; ++i) {
+        const float* src = part.data() + i * cols;
+        float* dst = into->data() + (row0 + i) * stride + col0;
+        for (int j = 0; j < cols; ++j) dst[j] += src[j];
+    }
+}
+
+}  // namespace
+
+Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 const std::vector<AttentionSegment>& segments, int heads,
+                 float score_scale, Tensor* probs) {
+    assert(q.rank() == 2 && k.rank() == 2 && v.same_shape(k));
+    const int d = q.dim(1);
+    assert(k.dim(1) == d && heads >= 1 && d % heads == 0);
+    const int hd = d / heads;
+
+    // Offset of each segment's softmax matrices in `probs`, and the
+    // widest key block, which sizes the per-chunk scores row.
+    std::vector<std::int64_t> prob_offset(segments.size() + 1, 0);
+    int max_keys = 1;
+    std::int64_t flops = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+        const AttentionSegment& seg = segments[s];
+        assert(seg.q_begin >= 0 && seg.q_begin + seg.q_rows <= q.dim(0));
+        assert(seg.k_rows >= 1 && seg.k_begin >= 0 &&
+               seg.k_begin + seg.k_rows <= k.dim(0));
+        const std::int64_t unit =
+            static_cast<std::int64_t>(seg.q_rows) * seg.k_rows;
+        prob_offset[s + 1] = prob_offset[s] + unit * heads;
+        max_keys = std::max(max_keys, seg.k_rows);
+        flops += 2 * unit * d;
+    }
+    Tensor out({q.dim(0), d});
+    float* pp = nullptr;
+    if (probs != nullptr) {
+        *probs = Tensor(
+            {static_cast<int>(std::max<std::int64_t>(1, prob_offset.back()))});
+        pp = probs->data();
+    }
+    const float* pq = q.data();
+    const float* pk = k.data();
+    const float* pv = v.data();
+    float* po = out.data();
+
+    const std::int64_t units =
+        static_cast<std::int64_t>(segments.size()) * heads;
+    if (units == 0) return out;
+    util::parallel_for(
+        0, units, util::grain_for(flops / units, kMinChunkFlops),
+        [&](std::int64_t u0, std::int64_t u1) {
+            mem::Buffer scratch(static_cast<std::size_t>(max_keys));
+            for (std::int64_t u = u0; u < u1; ++u) {
+                const std::size_t s = static_cast<std::size_t>(u / heads);
+                const AttentionSegment& seg = segments[s];
+                const int lo = static_cast<int>(u % heads) * hd;
+                const int keys = seg.k_rows;
+                float* unit_probs =
+                    pp == nullptr ? nullptr
+                                  : pp + prob_offset[s] +
+                                        (u % heads) * seg.q_rows * keys;
+                for (int i = 0; i < seg.q_rows; ++i) {
+                    float* row = unit_probs == nullptr
+                                     ? scratch.data()
+                                     : unit_probs + i * keys;
+                    // Q_h K_hᵀ row, as matmul sums it: from zero,
+                    // kk ascending, zero entries of Q skipped.
+                    for (int j = 0; j < keys; ++j) row[j] = 0.0f;
+                    const float* qrow = pq + (seg.q_begin + i) * d + lo;
+                    for (int kk = 0; kk < hd; ++kk) {
+                        const float a = qrow[kk];
+                        if (a == 0.0f) continue;
+                        for (int j = 0; j < keys; ++j) {
+                            row[j] += a * pk[(seg.k_begin + j) * d + lo + kk];
+                        }
+                    }
+                    for (int j = 0; j < keys; ++j) {
+                        row[j] = row[j] * score_scale;
+                    }
+                    // softmax_rows: max -> exp -> sum -> scale.
+                    float max_v = row[0];
+                    for (int j = 1; j < keys; ++j) {
+                        max_v = std::max(max_v, row[j]);
+                    }
+                    float sum = 0.0f;
+                    for (int j = 0; j < keys; ++j) {
+                        row[j] = std::exp(row[j] - max_v);
+                        sum += row[j];
+                    }
+                    const float inv = 1.0f / sum;
+                    for (int j = 0; j < keys; ++j) row[j] *= inv;
+                    // P V_h row, as matmul sums it.
+                    float* orow = po + (seg.q_begin + i) * d + lo;
+                    for (int kk = 0; kk < keys; ++kk) {
+                        const float w = row[kk];
+                        if (w == 0.0f) continue;
+                        const float* vrow = pv + (seg.k_begin + kk) * d + lo;
+                        for (int j = 0; j < hd; ++j) orow[j] += w * vrow[j];
+                    }
+                }
+            }
+        });
+    return out;
+}
+
+AttentionGrads attention_backward(
+    const Tensor& grad, const Tensor& q, const Tensor& k, const Tensor& v,
+    const Tensor& probs, const std::vector<AttentionSegment>& segments,
+    int heads, float score_scale) {
+    assert(grad.same_shape(q));
+    const int d = q.dim(1);
+    const int hd = d / heads;
+    AttentionGrads grads{Tensor(q.shape()), Tensor(k.shape()),
+                         Tensor(v.shape())};
+    int offset = 0;
+    for (const AttentionSegment& seg : segments) {
+        const int tq = seg.q_rows;
+        const int tk = seg.k_rows;
+        for (int h = 0; h < heads; ++h) {
+            const int lo = h * hd;
+            const Tensor g_out = block(grad, seg.q_begin, tq, lo, hd);
+            const Tensor qh = block(q, seg.q_begin, tq, lo, hd);
+            const Tensor kh_t = transpose2d(block(k, seg.k_begin, tk, lo, hd));
+            const Tensor vh = block(v, seg.k_begin, tk, lo, hd);
+            Tensor p({tq, tk});
+            p.copy_from(probs.data() + offset, tq * tk);
+            offset += tq * tk;
+            // out_h = P V_h
+            const Tensor g_p = matmul_nt(g_out, vh);
+            add_block(&grads.v, matmul_tn(p, g_out), seg.k_begin, lo);
+            // P = softmax(S · scale), S = Q_h K_hᵀ
+            const Tensor g_s =
+                scale(softmax_rows_backward(g_p, p), score_scale);
+            add_block(&grads.q, matmul_nt(g_s, kh_t), seg.q_begin, lo);
+            add_block(&grads.k, transpose2d(matmul_tn(qh, g_s)), seg.k_begin,
+                      lo);
+        }
+    }
+    return grads;
 }
 
 namespace {
@@ -1025,6 +1186,25 @@ Tensor slice_backward(const Tensor& grad, const std::vector<int>& input_shape,
         for (int i = 0; i < out_axis * inner; ++i) dst[i] += src[i];
     }
     return out;
+}
+
+Tensor map_to_tokens(const Tensor& feature_map) {
+    assert(feature_map.rank() == 4);
+    const int n = feature_map.dim(0);
+    const int c = feature_map.dim(1);
+    const int spatial = feature_map.dim(2) * feature_map.dim(3);
+    return transpose_inner(feature_map, n, c, spatial)
+        .reshaped({n * spatial, c});
+}
+
+Tensor tokens_to_map(const Tensor& tokens,
+                     const std::vector<int>& map_shape) {
+    assert(tokens.rank() == 2 && map_shape.size() == 4);
+    const int n = map_shape[0];
+    const int c = map_shape[1];
+    const int spatial = map_shape[2] * map_shape[3];
+    assert(tokens.dim(0) == n * spatial && tokens.dim(1) == c);
+    return transpose_inner(tokens, n, spatial, c).reshaped(map_shape);
 }
 
 }  // namespace aero::tensor

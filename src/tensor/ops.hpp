@@ -75,6 +75,47 @@ Tensor softmax_rows(const Tensor& a);
 /// Backward from the forward output: g_i = y_i * (g_i - sum_j g_j y_j).
 Tensor softmax_rows_backward(const Tensor& grad, const Tensor& output);
 
+// ---- attention -------------------------------------------------------------
+
+/// One block of a segmented attention: query rows [q_begin, q_begin +
+/// q_rows) attend over key/value rows [k_begin, k_begin + k_rows).
+struct AttentionSegment {
+    int q_begin = 0;
+    int q_rows = 0;
+    int k_begin = 0;
+    int k_rows = 0;
+};
+
+/// Multi-head scaled dot-product attention over every segment at once:
+/// q [Tq, D], k and v [Tk, D] -> [Tq, D] (query rows outside every
+/// segment stay zero). For each segment and head h (columns [h·D/heads,
+/// (h+1)·D/heads)) it writes softmax(Q_h K_hᵀ · scale) V_h, with each
+/// element computed exactly as matmul -> scale -> softmax_rows -> matmul
+/// compute it on the per-head slices (kk-ascending sums from zero,
+/// zero-skips, max -> exp -> sum -> scale), so a one-segment call equals
+/// that per-head graph bit for bit. (segment, head) units run in one
+/// parallel_for. When `probs` is non-null it receives every unit's
+/// softmax matrix, segment-major then head, for attention_backward.
+Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 const std::vector<AttentionSegment>& segments, int heads,
+                 float score_scale, Tensor* probs = nullptr);
+
+struct AttentionGrads {
+    Tensor q;
+    Tensor k;
+    Tensor v;
+};
+
+/// Gradients of attention() given the upstream `grad` [Tq, D] and the
+/// `probs` it saved. Per (segment, head) it runs the matmul_nt /
+/// matmul_tn / softmax_rows_backward / scale / transpose2d kernels the
+/// per-head graph's backward runs, and adds each block into
+/// zero-initialised [Tq, D] / [Tk, D] gradients.
+AttentionGrads attention_backward(
+    const Tensor& grad, const Tensor& q, const Tensor& k, const Tensor& v,
+    const Tensor& probs, const std::vector<AttentionSegment>& segments,
+    int heads, float score_scale);
+
 // ---- convolution (NCHW) ----------------------------------------------------
 
 struct Conv2dSpec {
@@ -130,5 +171,11 @@ Tensor slice(const Tensor& a, int axis, int start, int stop);
 /// Scatters a slice gradient back into a zero tensor of `input_shape`.
 Tensor slice_backward(const Tensor& grad, const std::vector<int>& input_shape,
                       int axis, int start);
+/// [N,C,H,W] feature map -> [N·H·W, C] token table: row b·H·W + p holds
+/// sample b's channels at spatial position p.
+Tensor map_to_tokens(const Tensor& feature_map);
+/// Inverse of map_to_tokens back to `map_shape` ([N,C,H,W]). Each is the
+/// other's backward (both are pure permutations).
+Tensor tokens_to_map(const Tensor& tokens, const std::vector<int>& map_shape);
 
 }  // namespace aero::tensor

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <stdexcept>
+#include <thread>
 
 #include "autograd/var.hpp"
 #include "tensor/ops.hpp"
@@ -297,6 +300,147 @@ TEST(GradCheck, CrossEntropy) {
             return ag::cross_entropy_rows(v[0], targets);
         },
         {Tensor::randn({3, 3}, rng)});
+}
+
+TEST(GradCheck, AttentionTwoSegmentsWithDifferentKeyCounts) {
+    // Query rows 0-2 attend over key rows 0-1, query rows 3-4 over key
+    // rows 2-5; two heads of width 2.
+    aero::util::Rng rng(19);
+    const std::vector<aero::tensor::AttentionSegment> segments{
+        {0, 3, 0, 2}, {3, 2, 2, 4}};
+    const Tensor proj = Tensor::randn({5 * 4}, rng);
+    check_gradients(
+        [&](const std::vector<Var>& v) {
+            return project(ag::attention(v[0], v[1], v[2], segments,
+                                         /*heads=*/2, 0.7f),
+                           proj);
+        },
+        {Tensor::randn({5, 4}, rng), Tensor::randn({6, 4}, rng),
+         Tensor::randn({6, 4}, rng)},
+        /*tolerance=*/5e-2f, /*epsilon=*/5e-3f);
+}
+
+TEST(GradCheck, TokenTransposes) {
+    aero::util::Rng rng(20);
+    const Tensor proj = Tensor::randn({2 * 3 * 2 * 2}, rng);
+    check_gradients(
+        [&](const std::vector<Var>& v) {
+            return project(ag::map_to_tokens(v[0]), proj);  // [8, 3]
+        },
+        {Tensor::randn({2, 3, 2, 2}, rng)});
+    check_gradients(
+        [&](const std::vector<Var>& v) {
+            return project(ag::tokens_to_map(v[0], {2, 3, 2, 2}), proj);
+        },
+        {Tensor::randn({8, 3}, rng)});
+}
+
+TEST(NoGradGuard, NestsAndRestoresOnScopeExit) {
+    EXPECT_TRUE(ag::grad_enabled());
+    {
+        const ag::NoGradGuard outer;
+        EXPECT_FALSE(ag::grad_enabled());
+        {
+            const ag::NoGradGuard inner;
+            EXPECT_FALSE(ag::grad_enabled());
+        }
+        EXPECT_FALSE(ag::grad_enabled());  // the outer guard still holds
+    }
+    EXPECT_TRUE(ag::grad_enabled());
+}
+
+TEST(NoGradGuard, RestoresWhenAnExceptionUnwinds) {
+    EXPECT_THROW(
+        {
+            const ag::NoGradGuard guard;
+            throw std::runtime_error("forward failed");
+        },
+        std::runtime_error);
+    EXPECT_TRUE(ag::grad_enabled());
+    {
+        const ag::NoGradGuard outer;
+        try {
+            const ag::NoGradGuard inner;
+            throw std::runtime_error("inner failed");
+        } catch (const std::runtime_error&) {
+        }
+        EXPECT_FALSE(ag::grad_enabled());
+    }
+    EXPECT_TRUE(ag::grad_enabled());
+}
+
+TEST(NoGradGuard, OpsRecordNoParentsUnderTheGuard) {
+    aero::util::Rng rng(21);
+    const Var w = Var::param(Tensor::randn({3, 2}, rng));
+    const Var x = Var::constant(Tensor::randn({4, 3}, rng));
+    const Var recorded = ag::matmul(x, w);
+    EXPECT_TRUE(recorded.requires_grad());
+    EXPECT_EQ(recorded.node()->parents.size(), 2u);
+    EXPECT_TRUE(static_cast<bool>(recorded.node()->backprop));
+
+    const ag::NoGradGuard guard;
+    const Var leaf = ag::silu(ag::matmul(x, w));
+    EXPECT_FALSE(leaf.requires_grad());
+    EXPECT_TRUE(leaf.node()->parents.empty());
+    EXPECT_FALSE(static_cast<bool>(leaf.node()->backprop));
+}
+
+TEST(NoGradGuard, OtherThreadsKeepRecording) {
+    aero::util::Rng rng(22);
+    const Var w = Var::param(Tensor::randn({2, 2}, rng));
+    const ag::NoGradGuard guard;
+    bool enabled = false;
+    bool requires_grad = false;
+    std::thread other([&] {
+        enabled = ag::grad_enabled();
+        requires_grad = ag::mul(w, w).requires_grad();
+    });
+    other.join();
+    EXPECT_TRUE(enabled);
+    EXPECT_TRUE(requires_grad);
+    EXPECT_FALSE(ag::mul(w, w).requires_grad());
+}
+
+TEST(NoGradGuard, ValuesAreBitIdenticalWithAndWithoutTheGuard) {
+    // One graph touching every op family a forward pass uses.
+    aero::util::Rng rng(23);
+    std::vector<Var> params;
+    for (const std::vector<int>& shape :
+         std::vector<std::vector<int>>{{4, 3, 3, 3},
+                                       {4},
+                                       {4},
+                                       {4},
+                                       {16, 8},
+                                       {8},
+                                       {8},
+                                       {8}}) {
+        params.push_back(Var::param(Tensor::randn(shape, rng)));
+    }
+    const Var image = Var::constant(Tensor::randn({2, 3, 4, 4}, rng));
+    const Var context = Var::constant(Tensor::randn({5, 8}, rng));
+    const auto forward = [&] {
+        Var h = ag::conv2d(image, params[0], params[1], {1, 1});
+        h = ag::silu(ag::group_norm(h, 2, params[2], params[3]));
+        h = ag::avg_pool2x(h);                        // [2, 4, 2, 2]
+        Var tokens = ag::reshape(ag::map_to_tokens(h), {2, 16});
+        tokens = ag::add_row_bias(ag::matmul(tokens, params[4]), params[5]);
+        tokens = ag::layer_norm_rows(tokens, params[6], params[7]);
+        const Var attended = ag::attention(
+            tokens, context, context, {{0, 1, 0, 2}, {1, 1, 2, 3}}, 2, 0.5f);
+        const Var mixed = ag::tanh(ag::add(attended, ag::sigmoid(tokens)));
+        return ag::softmax_rows(ag::scale(mixed, 3.0f)).value();
+    };
+    const Tensor recorded = forward();
+    Tensor guarded;
+    {
+        const ag::NoGradGuard guard;
+        guarded = forward();
+    }
+    ASSERT_TRUE(recorded.same_shape(guarded));
+    EXPECT_EQ(std::memcmp(recorded.data(), guarded.data(),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              recorded.size())),
+              0);
 }
 
 // Parameterized composite-graph gradient check over assorted shapes:

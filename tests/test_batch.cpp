@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -20,6 +21,7 @@
 #include "diffusion/sampler.hpp"
 #include "diffusion/schedule.hpp"
 #include "diffusion/unet.hpp"
+#include "autograd/var.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
@@ -527,6 +529,66 @@ TEST(StepBatcherTest, StressMixedCancellationsAndShutdownDrain) {
             EXPECT_TRUE(results[i].empty()) << "caller " << i;
         } else {
             EXPECT_FALSE(results[i].empty()) << "caller " << i;
+        }
+    }
+}
+
+TEST(StepBatcherTest, GuardedStepsLeaveAConcurrentTrainingGraphIntact) {
+    // The batcher's forwards run under a NoGradGuard on its own thread.
+    // The guard is thread-local, so a training forward and backward on
+    // this thread meanwhile, over the same UNet, must still record its
+    // whole graph: every parameter gets the gradient of a solo run.
+    const BatchGateGuard guard;
+    aero::serve::set_batching_enabled(true);
+    const UNet& unet = shared_unet();
+    Rng rng(57);
+    const aero::autograd::Var z =
+        aero::autograd::Var::constant(Tensor::randn({3, 4, 8, 8}, rng));
+    const std::vector<Tensor> conditions{shared_condition(), Tensor(),
+                                         Tensor::randn({5, 8}, rng)};
+    const auto train_step = [&] {
+        std::vector<aero::autograd::Var> params = unet.parameters();
+        for (aero::autograd::Var& p : params) p.zero_grad();
+        aero::autograd::mean_all(
+            unet.forward(z, {1, 4, 6}, 8, conditions))
+            .backward();
+        std::vector<Tensor> grads;
+        for (aero::autograd::Var& p : params) {
+            grads.push_back(p.grad());
+            p.zero_grad();
+        }
+        return grads;
+    };
+    const std::vector<Tensor> solo = train_step();
+
+    StepBatcherConfig config;
+    config.batch_max = 4;
+    StepBatcher batcher(unet, shared_schedule(), config);
+    std::atomic<bool> done{false};
+    std::atomic<int> steps_run{0};
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < 4; ++i) {
+        callers.emplace_back([&, i] {
+            const Recipe recipe = mixed_recipes(4)[i];
+            while (!done.load()) {
+                Rng job_rng(recipe.seed);
+                EXPECT_FALSE(
+                    batcher.execute(build_job(recipe, &job_rng)).empty());
+                steps_run.fetch_add(1);
+            }
+        });
+    }
+    std::vector<std::vector<Tensor>> rounds;
+    for (int round = 0; round < 4; ++round) rounds.push_back(train_step());
+    done.store(true);
+    for (std::thread& caller : callers) caller.join();
+    batcher.shutdown();
+    EXPECT_GT(steps_run.load(), 0);
+    for (std::size_t round = 0; round < rounds.size(); ++round) {
+        ASSERT_EQ(rounds[round].size(), solo.size());
+        for (std::size_t p = 0; p < solo.size(); ++p) {
+            EXPECT_TRUE(bitwise_equal(rounds[round][p], solo[p]))
+                << "round " << round << ", parameter " << p;
         }
     }
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numbers>
 
 #include "diffusion/autoencoder.hpp"
 #include "diffusion/sampler.hpp"
@@ -9,6 +11,7 @@
 #include "diffusion/sentinel.hpp"
 #include "diffusion/trainer.hpp"
 #include "diffusion/unet.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -201,6 +204,272 @@ TEST(UNetTest, GradientsReachEveryParameter) {
     }
     // Everything except possibly unused branches must receive gradient.
     EXPECT_EQ(with_grad, total);
+}
+
+// ---- batch-wide cross-attention reference ----------------------------------
+
+namespace ag = aero::autograd;
+
+/// The UNet forward as it was before the bottleneck cross-attention ran
+/// batch-wide, rebuilt from a UNet's own parameters (registration order:
+/// the null token, then each child depth-first). reference_attend is the
+/// deleted per-sample loop, and reference_cross_attention the per-head
+/// graph nn::MultiHeadAttention built before the fused op.
+class ReferenceUNet {
+public:
+    explicit ReferenceUNet(const UNet& unet)
+        : config_(unet.config()), p_(unet.parameters()) {
+        const int c = config_.base_channels;
+        null_token_ = next();
+        time_fc1_ = linear();
+        time_fc2_ = linear();
+        cond_pool_proj_ = linear();
+        conv_in_ = conv();
+        down_ = res_block(c, c);
+        mid_in_ = res_block(c, 2 * c);
+        cond_proj_ = linear();
+        attn_norm_ = {next(), next()};
+        wq_ = linear();
+        wk_ = linear();
+        wv_ = linear();
+        wo_ = linear();
+        mid_out_ = res_block(2 * c, 2 * c);
+        up_ = res_block(3 * c, c);
+        norm_out_ = {next(), next()};
+        conv_out_ = conv();
+        EXPECT_EQ(cursor_, p_.size());
+    }
+
+    Var forward(const Var& z, const std::vector<int>& t, int total_steps,
+                const std::vector<Tensor>& condition_tokens) const {
+        const int n = z.value().dim(0);
+        std::vector<Var> conds;
+        for (const Tensor& tokens : condition_tokens) {
+            conds.push_back(tokens.empty() ? Var() : Var::constant(tokens));
+        }
+        Var temb = time_embedding(t, total_steps);
+        std::vector<Var> pooled_rows;
+        for (int i = 0; i < n; ++i) {
+            const Var& tokens = conds[static_cast<std::size_t>(i)];
+            const Var source = tokens.defined() ? tokens : null_token_;
+            const int k = source.value().dim(0);
+            Tensor averaging({1, k});
+            for (int j = 0; j < k; ++j) {
+                averaging[j] = 1.0f / static_cast<float>(k);
+            }
+            pooled_rows.push_back(
+                ag::matmul(Var::constant(std::move(averaging)), source));
+        }
+        const Var pooled =
+            n == 1 ? pooled_rows.front() : ag::concat(pooled_rows, 0);
+        temb = ag::add(temb, cond_pool_proj_.forward(pooled));
+
+        Var h = conv_in_.forward(z);
+        const Var skip = down_.forward(h, temb, config_.groups);
+        Var mid = ag::avg_pool2x(skip);
+        mid = mid_in_.forward(mid, temb, config_.groups);
+        std::vector<Var> attended;
+        for (int i = 0; i < n; ++i) {
+            attended.push_back(reference_attend(
+                ag::slice(mid, 0, i, i + 1), conds[static_cast<std::size_t>(i)]));
+        }
+        mid = n == 1 ? attended.front() : ag::concat(attended, 0);
+        mid = mid_out_.forward(mid, temb, config_.groups);
+        Var up = ag::upsample_nearest2x(mid);
+        up = ag::concat({up, skip}, 1);
+        up = up_.forward(up, temb, config_.groups);
+        return conv_out_.forward(ag::silu(ag::group_norm(
+            up, config_.groups, norm_out_.gamma, norm_out_.beta)));
+    }
+
+    /// The cross-attention's wo weight and bias (shared with the UNet).
+    std::vector<Var> output_projection() const { return {wo_.w, wo_.b}; }
+
+private:
+    struct Linear {
+        Var w, b;
+        Var forward(const Var& x) const {
+            return ag::add_row_bias(ag::matmul(x, w), b);
+        }
+    };
+    struct Conv {
+        Var w, b;
+        Var forward(const Var& x) const {
+            return ag::conv2d(x, w, b, {1, 1});
+        }
+    };
+    struct Norm {
+        Var gamma, beta;
+    };
+    struct ResBlock {
+        Norm norm1;
+        Conv conv1;
+        Linear time_proj;
+        Norm norm2;
+        Conv conv2;
+        Var skip;  ///< 1x1 projection, undefined when in == out
+        Var forward(const Var& x, const Var& temb, int groups) const {
+            Var h = conv1.forward(ag::silu(
+                ag::group_norm(x, groups, norm1.gamma, norm1.beta)));
+            h = ag::add_spatial_bias(h, time_proj.forward(temb));
+            h = conv2.forward(ag::silu(
+                ag::group_norm(h, groups, norm2.gamma, norm2.beta)));
+            const Var shortcut =
+                skip.defined() ? ag::conv2d(x, skip, Var(), {1, 0}) : x;
+            return ag::add(h, shortcut);
+        }
+    };
+
+    Var next() { return p_[cursor_++]; }
+    Linear linear() { return {next(), next()}; }
+    Conv conv() { return {next(), next()}; }
+    ResBlock res_block(int in, int out) {
+        ResBlock block{{next(), next()}, conv(), linear(),
+                       {next(), next()}, conv(), Var()};
+        if (in != out) block.skip = next();
+        return block;
+    }
+
+    Var time_embedding(const std::vector<int>& t, int total_steps) const {
+        const int n = static_cast<int>(t.size());
+        const int dim = config_.time_dim;
+        const int half = dim / 2;
+        Tensor features({n, dim});
+        for (int i = 0; i < n; ++i) {
+            const float pos =
+                static_cast<float>(t[static_cast<std::size_t>(i)]) /
+                static_cast<float>(total_steps);
+            for (int k = 0; k < half; ++k) {
+                const float freq =
+                    std::pow(10000.0f, -static_cast<float>(k) /
+                                           static_cast<float>(half));
+                const float angle =
+                    pos * freq * 2.0f * std::numbers::pi_v<float> * 50.0f;
+                features[i * dim + k] = std::sin(angle);
+                features[i * dim + half + k] = std::cos(angle);
+            }
+        }
+        return time_fc2_.forward(
+            ag::silu(time_fc1_.forward(Var::constant(features))));
+    }
+
+    Var reference_cross_attention(const Var& query,
+                                  const Var& context) const {
+        const Var q = wq_.forward(query);
+        const Var k = wk_.forward(context);
+        const Var v = wv_.forward(context);
+        const int head_dim = q.value().dim(1) / config_.heads;
+        const float inv_sqrt_dk =
+            1.0f / std::sqrt(static_cast<float>(head_dim));
+        std::vector<Var> head_outputs;
+        for (int h = 0; h < config_.heads; ++h) {
+            const int lo = h * head_dim;
+            const int hi = lo + head_dim;
+            const Var scores = ag::scale(
+                ag::matmul(ag::slice(q, 1, lo, hi),
+                           ag::transpose2d(ag::slice(k, 1, lo, hi))),
+                inv_sqrt_dk);
+            head_outputs.push_back(ag::matmul(ag::softmax_rows(scores),
+                                              ag::slice(v, 1, lo, hi)));
+        }
+        return wo_.forward(ag::concat(head_outputs, 1));
+    }
+
+    Var reference_attend(const Var& features,
+                         const Var& condition_tokens) const {
+        // features: [1, 2C, h, w] for ONE sample.
+        const int channels = features.value().dim(1);
+        const int tokens = features.value().dim(2) * features.value().dim(3);
+        const Var context = condition_tokens.defined()
+                                ? cond_proj_.forward(condition_tokens)
+                                : cond_proj_.forward(null_token_);
+        const Var seq = ag::transpose2d(
+            ag::reshape(features, {channels, tokens}));  // [T, 2C]
+        const Var attended = ag::add(
+            seq, reference_cross_attention(
+                     ag::layer_norm_rows(seq, attn_norm_.gamma,
+                                         attn_norm_.beta),
+                     context));
+        return ag::reshape(ag::transpose2d(attended),
+                           {1, channels, features.value().dim(2),
+                            features.value().dim(3)});
+    }
+
+    UNetConfig config_;
+    std::vector<Var> p_;
+    std::size_t cursor_ = 0;
+    Var null_token_;
+    Linear time_fc1_, time_fc2_, cond_pool_proj_;
+    Conv conv_in_;
+    ResBlock down_, mid_in_;
+    Linear cond_proj_;
+    Norm attn_norm_;
+    Linear wq_, wk_, wv_, wo_;
+    ResBlock mid_out_, up_;
+    Norm norm_out_;
+    Conv conv_out_;
+};
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<std::size_t>(a.size())) ==
+               0;
+}
+
+TEST(UNetTest, BatchWideCrossAttentionMatchesPerSampleReference) {
+    // 32 rows mixing conditional rows of 1, 7, 14 and 30 tokens with
+    // unconditional (null-token) rows. Every weight is perturbed: the
+    // zero-initialised output projection would otherwise make the
+    // cross-attention a no-op that no comparison could see.
+    aero::util::Rng rng(31);
+    const UNetConfig config;  // the pipeline's denoiser shape
+    UNet unet(config, rng);
+    for (Var p : unet.parameters()) {
+        for (float& x : p.mutable_value()) {
+            x += 0.05f * static_cast<float>(rng.normal());
+        }
+    }
+    constexpr int kRows = 32;
+    const int token_counts[] = {1, 7, 14, 30, 0};  // 0: unconditional
+    const Tensor z = Tensor::randn({kRows, config.in_channels, 8, 8}, rng);
+    std::vector<int> t;
+    std::vector<Tensor> conds;
+    for (int i = 0; i < kRows; ++i) {
+        t.push_back((i * 7) % 64);
+        const int k = token_counts[i % 5];
+        conds.push_back(k == 0 ? Tensor()
+                               : Tensor::randn({k, config.cond_dim}, rng));
+    }
+
+    const ReferenceUNet reference_unet(unet);
+    const Tensor reference =
+        reference_unet.forward(Var::constant(z), t, 64, conds).value();
+
+    aero::util::ThreadPool& pool = aero::util::ThreadPool::instance();
+    for (const int threads : {1, 2, 7}) {
+        pool.resize(threads);
+        for (const bool guarded : {false, true}) {
+            Tensor out;
+            if (guarded) {
+                const aero::autograd::NoGradGuard no_grad;
+                out = unet.forward(Var::constant(z), t, 64, conds).value();
+            } else {
+                out = unet.forward(Var::constant(z), t, 64, conds).value();
+            }
+            EXPECT_TRUE(bitwise_equal(out, reference))
+                << threads << " threads, guard " << guarded;
+        }
+    }
+    pool.resize(aero::util::ThreadPool::default_threads());
+
+    // The comparison can see the attention: with its output projection
+    // zeroed (the initial state) the same forward gives other bits.
+    for (Var p : reference_unet.output_projection()) {
+        for (float& x : p.mutable_value()) x = 0.0f;
+    }
+    EXPECT_FALSE(bitwise_equal(
+        unet.forward(Var::constant(z), t, 64, conds).value(), reference));
 }
 
 TEST(Trainer, LossDecreasesOnToyData) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -181,6 +182,104 @@ TEST(Attention, ZeroOutputProjectionMakesNoOpResidual) {
     const Var x = Var::constant(Tensor::randn({3, 8}, rng));
     const Var out = attn.forward(x);
     for (float v : out.value()) EXPECT_EQ(v, 0.0f);
+}
+
+/// The attention graph MultiHeadAttention::forward built before the
+/// fused op, from the existing ops: per head, slice Q/K/V, matmul with
+/// the transposed key slice, scale, softmax_rows, matmul with the value
+/// slice; concat the heads and project. `p` is the module's parameter
+/// list (wq, wk, wv, wo weights and biases).
+Var per_head_attention(const std::vector<Var>& p, int heads,
+                       const Var& query, const Var& context) {
+    const auto linear = [&](const Var& x, int i) {
+        return ag::add_row_bias(ag::matmul(x, p[2 * i]), p[2 * i + 1]);
+    };
+    const Var q = linear(query, 0);
+    const Var k = linear(context, 1);
+    const Var v = linear(context, 2);
+    const int dim = q.value().dim(1);
+    const int head_dim = dim / heads;
+    const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    std::vector<Var> head_outputs;
+    for (int h = 0; h < heads; ++h) {
+        const int lo = h * head_dim;
+        const int hi = lo + head_dim;
+        const Var scores = ag::scale(
+            ag::matmul(ag::slice(q, 1, lo, hi),
+                       ag::transpose2d(ag::slice(k, 1, lo, hi))),
+            inv_sqrt_dk);
+        head_outputs.push_back(
+            ag::matmul(ag::softmax_rows(scores), ag::slice(v, 1, lo, hi)));
+    }
+    return linear(ag::concat(head_outputs, 1), 3);
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<std::size_t>(a.size())) ==
+               0;
+}
+
+TEST(Attention, OneSegmentMatchesPerHeadGraphBitForBit) {
+    // Cross- and self-attention (where one input feeds wq, wk and wv, so
+    // its gradient sums three contributions in graph order), with the
+    // inputs trainable so their gradients are compared as well. A head
+    // width of 6 makes 1/sqrt(d) inexact, so its rounding is checked.
+    for (const bool self : {false, true}) {
+        aero::util::Rng rng(44);
+        nn::MultiHeadAttention attn(12, 2, rng);
+        for (Var p : attn.parameters()) {  // non-zero biases too
+            for (float& x : p.mutable_value()) {
+                x += 0.1f * static_cast<float>(rng.normal());
+            }
+        }
+        Var query = Var::param(Tensor::randn({7, 12}, rng));
+        Var context = self ? query : Var::param(Tensor::randn({5, 12}, rng));
+        const Tensor proj = Tensor::randn({7 * 12}, rng);
+        const auto run = [&](bool fused) {
+            attn.zero_grad();
+            query.zero_grad();
+            context.zero_grad();
+            const Var out =
+                fused ? attn.forward(query, context)
+                      : per_head_attention(attn.parameters(), attn.heads(),
+                                           query, context);
+            ag::sum_all(ag::mul(out, Var::constant(proj.reshaped({7, 12}))))
+                .backward();
+            std::vector<Tensor> values{out.value(), query.grad(),
+                                       context.grad()};
+            for (const Var& p : attn.parameters()) values.push_back(p.grad());
+            return values;
+        };
+        const std::vector<Tensor> reference = run(false);
+        const std::vector<Tensor> fused = run(true);
+        ASSERT_EQ(reference.size(), fused.size());
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            EXPECT_TRUE(bitwise_equal(reference[i], fused[i]))
+                << (self ? "self" : "cross") << "-attention tensor " << i
+                << " (0: output, 1-2: input grads, then parameter grads)";
+        }
+    }
+}
+
+TEST(Attention, SegmentedForwardEqualsOneCallPerSegment) {
+    aero::util::Rng rng(45);
+    nn::MultiHeadAttention attn(8, 2, rng);
+    const Tensor query = Tensor::randn({9, 8}, rng);
+    const Tensor context = Tensor::randn({6, 8}, rng);
+    const Var batched =
+        attn.forward(Var::constant(query), Var::constant(context),
+                     {{0, 4, 0, 1}, {4, 5, 1, 5}});
+    const Var first = attn.forward(
+        Var::constant(aero::tensor::slice(query, 0, 0, 4)),
+        Var::constant(aero::tensor::slice(context, 0, 0, 1)));
+    const Var second = attn.forward(
+        Var::constant(aero::tensor::slice(query, 0, 4, 9)),
+        Var::constant(aero::tensor::slice(context, 0, 1, 6)));
+    EXPECT_TRUE(bitwise_equal(
+        batched.value(),
+        aero::tensor::concat({first.value(), second.value()}, 0)));
 }
 
 // Parameterized attention-dimension sweep.

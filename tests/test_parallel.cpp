@@ -208,6 +208,123 @@ TEST(Determinism, Attention) {
     });
 }
 
+/// Flattened concatenation, so a test can compare several outputs at once.
+Tensor flat_concat(const std::vector<Tensor>& parts) {
+    std::vector<Tensor> flat;
+    for (const Tensor& part : parts) flat.push_back(part.flattened());
+    return ops::concat(flat, 0);
+}
+
+TEST(Determinism, TranscendentalMaps) {
+    aero::util::Rng rng(19);
+    const Tensor x = Tensor::randn({50000}, rng);
+    const Tensor g = Tensor::randn({50000}, rng);
+    expect_thread_count_invariant("sigmoid", [&] { return ops::sigmoid(x); });
+    expect_thread_count_invariant("tanh", [&] { return ops::tanh(x); });
+    expect_thread_count_invariant("exp", [&] { return ops::exp(x); });
+    expect_thread_count_invariant("silu_backward",
+                                  [&] { return ops::silu_backward(g, x); });
+    const Tensor y = ops::tanh(x);
+    expect_thread_count_invariant("tanh_backward",
+                                  [&] { return ops::tanh_backward(g, y); });
+    const Tensor s = ops::sigmoid(x);
+    expect_thread_count_invariant("sigmoid_backward",
+                                  [&] { return ops::sigmoid_backward(g, s); });
+    EXPECT_GT(chunks_per_call([&] { return ops::silu(x); }), 1);
+}
+
+/// Output and every input gradient of `op` over `inputs` (all trainable),
+/// backpropagating a fixed random projection.
+template <typename Op>
+Tensor forward_and_gradients(const std::vector<Tensor>& inputs,
+                             const Tensor& projection, Op op) {
+    std::vector<Var> leaves;
+    for (const Tensor& input : inputs) leaves.push_back(Var::param(input));
+    const Var out = op(leaves);
+    aero::autograd::sum_all(aero::autograd::mul(
+                                out, Var::constant(projection.reshaped(
+                                         out.value().shape()))))
+        .backward();
+    std::vector<Tensor> parts{out.value()};
+    for (const Var& leaf : leaves) parts.push_back(leaf.grad());
+    return flat_concat(parts);
+}
+
+TEST(Determinism, NormalisationForwardAndBackward) {
+    aero::util::Rng rng(20);
+    // The 32-row UNet step's bottleneck group norm and token layer norm.
+    const Tensor x = Tensor::randn({32, 48, 4, 4}, rng);
+    const Tensor gamma = Tensor::randn({48}, rng, 1.0f, 0.2f);
+    const Tensor beta = Tensor::randn({48}, rng);
+    const Tensor projection = Tensor::randn({32 * 48 * 16}, rng);
+    const auto group_norm = [&] {
+        return forward_and_gradients(
+            {x, gamma, beta}, projection, [](const std::vector<Var>& v) {
+                return aero::autograd::group_norm(v[0], 4, v[1], v[2]);
+            });
+    };
+    const Tensor rows = Tensor::randn({512, 48}, rng);
+    const auto layer_norm = [&] {
+        return forward_and_gradients(
+            {rows, gamma, beta}, projection, [](const std::vector<Var>& v) {
+                return aero::autograd::layer_norm_rows(v[0], v[1], v[2]);
+            });
+    };
+    expect_thread_count_invariant("group_norm", group_norm);
+    expect_thread_count_invariant("layer_norm_rows", layer_norm);
+    const auto group_norm_forward = [&] {
+        const aero::autograd::NoGradGuard no_grad;
+        return aero::autograd::group_norm(Var::constant(x), 4,
+                                          Var::constant(gamma),
+                                          Var::constant(beta))
+            .value();
+    };
+    const auto layer_norm_forward = [&] {
+        return aero::autograd::layer_norm_rows(Var::constant(rows),
+                                               Var::constant(gamma),
+                                               Var::constant(beta))
+            .value();
+    };
+    EXPECT_GT(chunks_per_call(group_norm_forward), 1);
+    EXPECT_GT(chunks_per_call(layer_norm_forward), 1);
+}
+
+TEST(Determinism, SegmentedAttentionAndTokenTransposes) {
+    aero::util::Rng rng(21);
+    // 32 segments of 16 query rows over 1..30 key rows, four heads.
+    std::vector<ops::AttentionSegment> segments;
+    int keys = 0;
+    for (int i = 0; i < 32; ++i) {
+        const int k = 1 + (i * 7) % 30;
+        segments.push_back({i * 16, 16, keys, k});
+        keys += k;
+    }
+    const Tensor q = Tensor::randn({32 * 16, 48}, rng);
+    const Tensor k = Tensor::randn({keys, 48}, rng);
+    const Tensor v = Tensor::randn({keys, 48}, rng);
+    const Tensor projection = Tensor::randn({32 * 16 * 48}, rng);
+    const auto forward = [&] {
+        return ops::attention(q, k, v, segments, 4, 0.25f);
+    };
+    expect_thread_count_invariant("attention", forward);
+    expect_thread_count_invariant("attention_backward", [&] {
+        return forward_and_gradients(
+            {q, k, v}, projection, [&](const std::vector<Var>& in) {
+                return aero::autograd::attention(in[0], in[1], in[2],
+                                                 segments, 4, 0.25f);
+            });
+    });
+    EXPECT_GT(chunks_per_call(forward), 1);
+
+    const Tensor map = Tensor::randn({32, 48, 4, 4}, rng);
+    expect_thread_count_invariant("map_to_tokens",
+                                  [&] { return ops::map_to_tokens(map); });
+    const Tensor tokens = ops::map_to_tokens(map);
+    expect_thread_count_invariant("tokens_to_map", [&] {
+        return ops::tokens_to_map(tokens, map.shape());
+    });
+}
+
 TEST(Determinism, FullDdimSample) {
     aero::util::Rng build_rng(16);
     aero::diffusion::UNetConfig config;
