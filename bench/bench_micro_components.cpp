@@ -1,11 +1,13 @@
 // Component microbenchmarks (google-benchmark): the cost centres of the
 // pipeline -- tensor kernels, UNet denoising steps, the scene renderer,
-// the samplers and the evaluation metrics.
+// the samplers, the frozen condition features and the evaluation
+// metrics.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
+#include "core/condition.hpp"
 #include "diffusion/sampler.hpp"
 #include "diffusion/trainer.hpp"
 #include "metrics/metrics.hpp"
@@ -154,6 +156,51 @@ void BM_DdimSample(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_DdimSample)->Arg(4)->Arg(10);
+
+/// perfbench's substrate shapes at a 16-sample split: 32 px images, an
+/// untrained detector (every scene yields the 12-ROI cap) and short
+/// CLIP/autoencoder training.
+struct ConditionBench {
+    core::Budget budget = [] {
+        core::Budget b;
+        b.train_images = 16;
+        b.ae_steps = 18;
+        b.clip_steps = 18;
+        b.detector_steps = 0;
+        return b;
+    }();
+    scene::AerialDataset dataset{[this] {
+        scene::DatasetConfig config;
+        config.train_size = budget.train_images;
+        config.test_size = 1;
+        config.image_size = budget.image_size;
+        return config;
+    }()};
+    util::Rng rng{2025};
+    core::Substrate substrate = core::build_substrate(dataset, budget, rng);
+};
+
+/// compute_condition_features over Arg(0) samples per call: 1 is the
+/// cache-miss path of generate(), 16 one full pass of fit()'s batched
+/// call. Items are samples.
+void BM_ConditionFeatures(benchmark::State& state) {
+    static const ConditionBench bench;
+    const auto count = static_cast<std::size_t>(state.range(0));
+    const auto& split = bench.dataset.train();
+    const auto& captions = bench.substrate.keypoint_train;
+    std::vector<core::ConditionInput> inputs;
+    for (std::size_t i = 0; i < count; ++i) {
+        inputs.push_back({&split[i], &captions[i].text, &captions[i].text});
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(core::compute_condition_features(
+            bench.substrate, inputs, /*use_object_detection=*/true,
+            /*max_rois=*/12));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_ConditionFeatures)->Arg(1)->Arg(16)->UseRealTime();
 
 void BM_FidComputation(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));

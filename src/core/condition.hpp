@@ -27,8 +27,27 @@ struct ConditionFeatures {
     Tensor extra_tokens;      ///< [E, d] variant-specific rows (may be empty)
 };
 
-/// Computes the cached features. `target_caption` is G'_i (equal to the
-/// source caption during training); detection runs only when `use_od`.
+/// One (sample, caption, target) triple of a batched call; the call
+/// reads through the pointers.
+struct ConditionInput {
+    const scene::AerialSample* sample = nullptr;
+    const std::string* caption = nullptr;         ///< G_i
+    const std::string* target_caption = nullptr;  ///< G'_i
+};
+
+/// Computes the cached features of every input, in input order.
+/// `target_caption` is G'_i (equal to the source caption during
+/// training); detection runs only when `use_object_detection`. Images
+/// are resized to the substrate's image size when either extent
+/// differs, and every feature (ROIs included) derives from that
+/// resized image. The inputs are encoded in passes of a few samples
+/// that share their CLIP image- and text-tower forwards (DESIGN.md
+/// §18); each result is bit-identical to encoding its input alone.
+std::vector<ConditionFeatures> compute_condition_features(
+    const Substrate& substrate, const std::vector<ConditionInput>& inputs,
+    bool use_object_detection, int max_rois);
+
+/// The batch form for one input.
 ConditionFeatures compute_condition_features(const Substrate& substrate,
                                              const scene::AerialSample& sample,
                                              const std::string& caption,

@@ -235,13 +235,19 @@ diffusion::DiffusionTrainStats AeroDiffusionPipeline::fit(util::Rng& rng) {
     assert(train_split.size() == substrate_->train_latents.size());
 
     // Cache frozen-encoder features per training sample (G' == G during
-    // training: the model learns to reconstruct the described scene).
-    std::vector<ConditionFeatures> features;
-    features.reserve(train_split.size());
+    // training: the model learns to reconstruct the described scene),
+    // the whole split in one batched call.
+    std::vector<ConditionInput> inputs;
+    inputs.reserve(train_split.size());
     for (std::size_t i = 0; i < train_split.size(); ++i) {
-        features.push_back(features_for(train_split[i], captions[i].text,
-                                        captions[i].text,
-                                        static_cast<int>(i), true));
+        inputs.push_back(
+            {&train_split[i], &captions[i].text, &captions[i].text});
+    }
+    std::vector<ConditionFeatures> features = compute_condition_features(
+        *substrate_, inputs, config_.use_object_detection, config_.max_rois);
+    for (std::size_t i = 0; i < train_split.size(); ++i) {
+        features[i].extra_tokens =
+            extra_tokens(train_split[i], static_cast<int>(i), true);
     }
 
     // Joint optimisation of theta (UNet) and the condition parameters.

@@ -284,21 +284,22 @@ DetectionQuality evaluate_detector(
     return quality;
 }
 
-std::vector<image::Image> extract_rois(const image::Image& img,
-                                       const std::vector<BoundingBox>& boxes,
-                                       int roi_size) {
-    std::vector<image::Image> rois;
-    rois.reserve(boxes.size());
-    for (const BoundingBox& box : boxes) {
+Tensor extract_rois(const image::Image& img,
+                    const std::vector<BoundingBox>& boxes, int roi_size) {
+    if (boxes.empty()) return Tensor();
+    const int n = roi_size;
+    Tensor rois({static_cast<int>(boxes.size()), 3, n, n});
+    for (std::size_t r = 0; r < boxes.size(); ++r) {
+        const BoundingBox& box = boxes[r];
         // Pad the crop by 25% so context survives the resize.
         const int pad_x = std::max(1, static_cast<int>(box.w * 0.25f));
         const int pad_y = std::max(1, static_cast<int>(box.h * 0.25f));
-        const image::Image patch = image::crop(
+        image::crop_resize_chw(
             img, static_cast<int>(box.x) - pad_x,
             static_cast<int>(box.y) - pad_y,
             std::max(2, static_cast<int>(box.w) + 2 * pad_x),
-            std::max(2, static_cast<int>(box.h) + 2 * pad_y));
-        rois.push_back(image::resize_bilinear(patch, roi_size, roi_size));
+            std::max(2, static_cast<int>(box.h) + 2 * pad_y), n, n,
+            rois.data() + r * 3 * n * n);
     }
     return rois;
 }

@@ -95,10 +95,14 @@ DetectionQuality evaluate_detector(
     const std::vector<scene::AerialSample>& samples,
     float objectness_threshold = 0.45f);
 
-/// Crops each detection region (slightly padded) and resizes it to
-/// `roi_size` -- the ROI inputs of the feature augmenter.
-std::vector<image::Image> extract_rois(const image::Image& img,
-                                       const std::vector<BoundingBox>& boxes,
-                                       int roi_size);
+/// Crops each detection region (slightly padded, edge pixels repeated
+/// outside the image) and resizes it bilinearly to `roi_size` -- the ROI
+/// inputs of the feature augmenter, written directly in the image
+/// encoder's input form: [R, 3, roi_size, roi_size] in [-1, 1], ROI r
+/// at index r. Each ROI is bit-identical to image::crop, then
+/// image::resize_bilinear, then Image::to_tensor_chw. Empty for no boxes.
+tensor::Tensor extract_rois(const image::Image& img,
+                            const std::vector<BoundingBox>& boxes,
+                            int roi_size);
 
 }  // namespace aero::detect

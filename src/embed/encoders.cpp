@@ -38,14 +38,12 @@ Var ImageEncoder::forward(const Var& images) const {
     return proj_.forward(pooled);
 }
 
-Var ImageEncoder::forward_tokens(const Var& image) const {
-    assert(image.value().dim(0) == 1);
-    const Var features = trunk(image);  // [1, dim, s, s]
-    const int dim = features.value().dim(1);
-    const int tokens = features.value().dim(2) * features.value().dim(3);
-    // [1, dim, s, s] -> [dim, tokens] -> [tokens, dim]
-    const Var flat = ag::reshape(features, {dim, tokens});
-    return proj_.forward(ag::transpose2d(flat));
+ImageEncoder::Encoding ImageEncoder::encode(const Var& images) const {
+    const Var features = trunk(images);  // [N, dim, s, s]
+    // map_to_tokens gives [N·s·s, dim] with image i's tokens in its own
+    // rows, and proj_ is a row-wise matmul.
+    return {proj_.forward(ag::global_avg_pool(features)),
+            proj_.forward(ag::map_to_tokens(features))};
 }
 
 TextEncoder::TextEncoder(const EmbedConfig& config, util::Rng& rng)
@@ -61,22 +59,11 @@ TextEncoder::TextEncoder(const EmbedConfig& config, util::Rng& rng)
 }
 
 Var TextEncoder::forward_tokens(const std::vector<int>& token_ids) const {
-    std::vector<int> ids = token_ids;
-    if (ids.empty()) ids.push_back(text::Vocabulary::aerial().pad_id());
-    if (static_cast<int>(ids.size()) > config_.max_tokens) {
-        ids.resize(static_cast<std::size_t>(config_.max_tokens));
-    }
-    std::vector<int> positions(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        positions[i] = static_cast<int>(i);
-    }
-    const Var tokens = ag::add(token_embedding_.forward(ids),
-                               position_embedding_.forward(positions));
-    return block_.forward(tokens);
+    return forward_tokens_stacked({token_ids}).tokens;
 }
 
 Var TextEncoder::forward(const std::vector<int>& token_ids) const {
-    return proj_.forward(mean_rows(forward_tokens(token_ids)));
+    return pooled(forward_tokens_stacked({token_ids}), {0});
 }
 
 Var TextEncoder::forward_batch(
@@ -85,6 +72,59 @@ Var TextEncoder::forward_batch(
     rows.reserve(batch.size());
     for (const std::vector<int>& ids : batch) rows.push_back(forward(ids));
     return ag::concat(rows, 0);
+}
+
+Tensor TextEncoder::TokenTable::rows(int i) const {
+    const auto at = static_cast<std::size_t>(i);
+    return tensor::slice(tokens.value(), 0, offsets[at], offsets[at + 1]);
+}
+
+TextEncoder::TokenTable TextEncoder::forward_tokens_stacked(
+    const std::vector<std::vector<int>>& batch) const {
+    // The embedding lookups, the add and every row-wise layer of the
+    // block run once over the rows of all sequences; the attention runs
+    // one segment per sequence.
+    assert(!batch.empty());
+    TokenTable table;
+    table.offsets.push_back(0);
+    std::vector<int> ids;
+    std::vector<int> positions;
+    std::vector<tensor::AttentionSegment> segments;
+    for (const std::vector<int>& sequence : batch) {
+        // An empty sequence embeds one pad token; a long one is truncated
+        // to max_tokens.
+        const int begin = table.offsets.back();
+        if (sequence.empty()) {
+            ids.push_back(text::Vocabulary::aerial().pad_id());
+        } else {
+            const auto kept = std::min<std::size_t>(
+                sequence.size(), static_cast<std::size_t>(config_.max_tokens));
+            ids.insert(ids.end(), sequence.begin(),
+                       sequence.begin() + static_cast<std::ptrdiff_t>(kept));
+        }
+        const int rows = static_cast<int>(ids.size()) - begin;
+        for (int p = 0; p < rows; ++p) positions.push_back(p);
+        segments.push_back({begin, rows, begin, rows});
+        table.offsets.push_back(begin + rows);
+    }
+    const Var tokens = ag::add(token_embedding_.forward(ids),
+                               position_embedding_.forward(positions));
+    table.tokens = block_.forward(tokens, std::move(segments));
+    return table;
+}
+
+Var TextEncoder::pooled(const TokenTable& table,
+                        const std::vector<int>& which) const {
+    // mean_rows per sequence, then one row-wise projection over the
+    // stacked means.
+    std::vector<Var> means;
+    means.reserve(which.size());
+    for (const int i : which) {
+        const auto at = static_cast<std::size_t>(i);
+        means.push_back(mean_rows(ag::slice(table.tokens, 0, table.offsets[at],
+                                            table.offsets[at + 1])));
+    }
+    return proj_.forward(ag::concat(means, 0));
 }
 
 Var normalize_rows(const Var& x, float eps) {

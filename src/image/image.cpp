@@ -146,34 +146,85 @@ bool read_ppm(const std::string& path, Image* out_img) {
     return true;
 }
 
-Image resize_bilinear(const Image& src, int new_width, int new_height) {
-    assert(new_width > 0 && new_height > 0);
-    Image dst(new_width, new_height);
-    const float sx = static_cast<float>(src.width()) / new_width;
-    const float sy = static_cast<float>(src.height()) / new_height;
-    for (int y = 0; y < new_height; ++y) {
-        const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-        const int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0,
-                                  src.height() - 1);
-        const int y1 = std::min(y0 + 1, src.height() - 1);
-        const float ty = std::clamp(fy - static_cast<float>(y0), 0.0f, 1.0f);
-        for (int x = 0; x < new_width; ++x) {
-            const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-            const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0,
-                                      src.width() - 1);
-            const int x1 = std::min(x0 + 1, src.width() - 1);
-            const float tx =
-                std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+namespace {
+
+/// One output coordinate of a bilinear resize along one axis: the two
+/// source coordinates it reads and the weight of the second.
+struct Tap {
+    int lo;
+    int hi;
+    float t;
+};
+
+/// Taps resizing the window [origin, origin + extent) of an axis of
+/// `size` source pixels to `out` pixels. Window coordinates outside the
+/// source repeat its edge pixel, as crop repeats them.
+std::vector<Tap> bilinear_taps(int origin, int extent, int size, int out) {
+    std::vector<Tap> taps(static_cast<std::size_t>(out));
+    const float scale = static_cast<float>(extent) / static_cast<float>(out);
+    for (int i = 0; i < out; ++i) {
+        const float f = (static_cast<float>(i) + 0.5f) * scale - 0.5f;
+        const int lo =
+            std::clamp(static_cast<int>(std::floor(f)), 0, extent - 1);
+        const int hi = std::min(lo + 1, extent - 1);
+        taps[static_cast<std::size_t>(i)] = {
+            std::clamp(origin + lo, 0, size - 1),
+            std::clamp(origin + hi, 0, size - 1),
+            std::clamp(f - static_cast<float>(lo), 0.0f, 1.0f)};
+    }
+    return taps;
+}
+
+/// Bilinear resize of the window [x, x + w) x [y, y + h) of `src` to
+/// out_width x out_height: two horizontal lerps, then one vertical, per
+/// output value v, handed to store(ox, oy, channel, v).
+template <typename Store>
+void resize_window(const Image& src, int x, int y, int w, int h,
+                   int out_width, int out_height, Store&& store) {
+    assert(w > 0 && h > 0 && out_width > 0 && out_height > 0);
+    const std::vector<Tap> xs = bilinear_taps(x, w, src.width(), out_width);
+    const std::vector<Tap> ys =
+        bilinear_taps(y, h, src.height(), out_height);
+    const float* pixels = src.data().data();  // interleaved RGB rows
+    const int stride = src.width() * 3;
+    for (int oy = 0; oy < out_height; ++oy) {
+        const Tap& ty = ys[static_cast<std::size_t>(oy)];
+        const float* row0 = pixels + ty.lo * stride;
+        const float* row1 = pixels + ty.hi * stride;
+        for (int ox = 0; ox < out_width; ++ox) {
+            const Tap& tx = xs[static_cast<std::size_t>(ox)];
             for (int c = 0; c < 3; ++c) {
-                const float top = src.at(x0, y0, c) +
-                                  (src.at(x1, y0, c) - src.at(x0, y0, c)) * tx;
-                const float bot = src.at(x0, y1, c) +
-                                  (src.at(x1, y1, c) - src.at(x0, y1, c)) * tx;
-                dst.at(x, y, c) = top + (bot - top) * ty;
+                const float p00 = row0[tx.lo * 3 + c];
+                const float p10 = row0[tx.hi * 3 + c];
+                const float p01 = row1[tx.lo * 3 + c];
+                const float p11 = row1[tx.hi * 3 + c];
+                const float top = p00 + (p10 - p00) * tx.t;
+                const float bot = p01 + (p11 - p01) * tx.t;
+                store(ox, oy, c, top + (bot - top) * ty.t);
             }
         }
     }
+}
+
+}  // namespace
+
+Image resize_bilinear(const Image& src, int new_width, int new_height) {
+    Image dst(new_width, new_height);
+    float* out = dst.data().data();
+    resize_window(src, 0, 0, src.width(), src.height(), new_width,
+                  new_height, [&](int x, int y, int c, float v) {
+                      out[(y * new_width + x) * 3 + c] = v;
+                  });
     return dst;
+}
+
+void crop_resize_chw(const Image& src, int x, int y, int w, int h,
+                     int out_width, int out_height, float* chw) {
+    const int plane = out_width * out_height;
+    resize_window(src, x, y, w, h, out_width, out_height,
+                  [&](int ox, int oy, int c, float v) {
+                      chw[c * plane + oy * out_width + ox] = v * 2.0f - 1.0f;
+                  });
 }
 
 Image crop(const Image& src, int x, int y, int w, int h) {

@@ -77,6 +77,12 @@ bool read_ppm(const std::string& path, Image* out);
 Image resize_bilinear(const Image& src, int new_width, int new_height);
 /// Copies the clamped region [x, x+w) x [y, y+h).
 Image crop(const Image& src, int x, int y, int w, int h);
+/// crop(src, x, y, w, h), then resize_bilinear to out_width x
+/// out_height, then to_tensor_chw, bit for bit, without the two
+/// intermediate images: writes the 3 * out_height * out_width CHW
+/// values to `chw`.
+void crop_resize_chw(const Image& src, int x, int y, int w, int h,
+                     int out_width, int out_height, float* chw);
 
 // ---- drawing ----------------------------------------------------------------
 

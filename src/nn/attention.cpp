@@ -56,7 +56,14 @@ TransformerBlock::TransformerBlock(int dim, int heads, util::Rng& rng)
 }
 
 Var TransformerBlock::forward(const Var& x) const {
-    Var h = ag::add(x, attn_.forward(norm1_.forward(x)));
+    const int rows = x.value().dim(0);
+    return forward(x, {{0, rows, 0, rows}});
+}
+
+Var TransformerBlock::forward(
+    const Var& x, std::vector<tensor::AttentionSegment> segments) const {
+    const Var normed = norm1_.forward(x);
+    Var h = ag::add(x, attn_.forward(normed, normed, std::move(segments)));
     return ag::add(h, mlp_.forward(norm2_.forward(h)));
 }
 

@@ -56,6 +56,13 @@ public:
 
     Var forward(const Var& x) const;
 
+    /// Segmented self-attention over stacked sequences: each segment's
+    /// rows attend over that segment's rows only, while the norms, the
+    /// projections and the MLP run once over all rows. Row for row this
+    /// equals one forward(x) call per segment, bit for bit.
+    Var forward(const Var& x,
+                std::vector<tensor::AttentionSegment> segments) const;
+
 private:
     LayerNorm norm1_;
     MultiHeadAttention attn_;

@@ -150,6 +150,272 @@ TEST(ConditionTest, EncoderGradientsFlow) {
     EXPECT_GT(with_grad, 0);
 }
 
+/// compute_condition_features' per-sample body from before it ran in
+/// batched passes, kept as the reference the batch call must match: the
+/// image trunk three times (tokens, embed_image_eval, f_X), the caption's
+/// text tower twice, a one-image detect, and per ROI a crop ->
+/// resize_bilinear -> to_tensor_chw chain, a batch-1 image forward and a
+/// label-text forward.
+ConditionFeatures reference_condition_features(
+    const Substrate& substrate, const aero::scene::AerialSample& sample,
+    const std::string& caption, const std::string& target_caption,
+    bool use_object_detection, int max_rois) {
+    using aero::autograd::Var;
+    using aero::scene::BoundingBox;
+    const aero::autograd::NoGradGuard no_grad;
+    ConditionFeatures features;
+    const aero::embed::ClipModel& clip = *substrate.clip;
+    const aero::text::Vocabulary& vocab = aero::text::Vocabulary::aerial();
+    const int size = substrate.budget.image_size;
+
+    aero::image::Image sized = sample.image;
+    if (sized.width() != size) {
+        sized = aero::image::resize_bilinear(sized, size, size);
+    }
+    const Var image_var = Var::constant(
+        sized.to_tensor_chw().reshaped({1, 3, size, size}));
+
+    features.image_tokens =
+        clip.image_encoder().encode(image_var).tokens.value();
+    features.text_tokens =
+        clip.text_encoder().forward_tokens(vocab.encode(caption)).value();
+    features.clip_text = clip.embed_text_eval(target_caption);
+    features.clip_image = clip.embed_image_eval(sample.image);
+    features.global_feature =
+        clip.image_encoder().forward(image_var).value();
+
+    if (use_object_detection && substrate.detector) {
+        std::vector<BoundingBox> boxes =
+            substrate.detector->detect(sample.image);
+        std::sort(boxes.begin(), boxes.end(),
+                  [](const BoundingBox& a, const BoundingBox& b) {
+                      return a.score > b.score;
+                  });
+        if (static_cast<int>(boxes.size()) > max_rois) {
+            boxes.resize(static_cast<std::size_t>(max_rois));
+        }
+        if (!boxes.empty()) {
+            std::vector<aero::tensor::Tensor> roi_rows;
+            std::vector<aero::tensor::Tensor> label_rows;
+            for (const BoundingBox& box : boxes) {
+                const int pad_x = std::max(1, static_cast<int>(box.w * 0.25f));
+                const int pad_y = std::max(1, static_cast<int>(box.h * 0.25f));
+                const aero::image::Image patch = aero::image::crop(
+                    sample.image, static_cast<int>(box.x) - pad_x,
+                    static_cast<int>(box.y) - pad_y,
+                    std::max(2, static_cast<int>(box.w) + 2 * pad_x),
+                    std::max(2, static_cast<int>(box.h) + 2 * pad_y));
+                const aero::image::Image roi =
+                    aero::image::resize_bilinear(patch, size, size);
+                roi_rows.push_back(
+                    clip.image_encoder()
+                        .forward(Var::constant(roi.to_tensor_chw().reshaped(
+                            {1, 3, size, size})))
+                        .value());
+                label_rows.push_back(
+                    clip.text_encoder()
+                        .forward(vocab.encode(aero::scene::class_name(box.cls)))
+                        .value());
+            }
+            features.roi_features = aero::tensor::concat(roi_rows, 0);
+            features.label_embeddings = aero::tensor::concat(label_rows, 0);
+        }
+    }
+    return features;
+}
+
+void expect_same_tensor(const aero::tensor::Tensor& got,
+                        const aero::tensor::Tensor& want, const char* field,
+                        const std::string& where) {
+    ASSERT_EQ(got.shape(), want.shape()) << field << ", " << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.size()) *
+                              sizeof(float)),
+              0)
+        << field << ", " << where;
+}
+
+void expect_same_features(const ConditionFeatures& got,
+                          const ConditionFeatures& want,
+                          const std::string& where) {
+    expect_same_tensor(got.image_tokens, want.image_tokens, "image_tokens",
+                       where);
+    expect_same_tensor(got.text_tokens, want.text_tokens, "text_tokens",
+                       where);
+    expect_same_tensor(got.clip_text, want.clip_text, "clip_text", where);
+    expect_same_tensor(got.clip_image, want.clip_image, "clip_image", where);
+    expect_same_tensor(got.global_feature, want.global_feature,
+                       "global_feature", where);
+    expect_same_tensor(got.roi_features, want.roi_features, "roi_features",
+                       where);
+    expect_same_tensor(got.label_embeddings, want.label_embeddings,
+                       "label_embeddings", where);
+    expect_same_tensor(got.extra_tokens, want.extra_tokens, "extra_tokens",
+                       where);
+}
+
+/// The shared substrate's CLIP and detector, with the detector's
+/// objectness logits raised by 3: most cells fire, so NMS leaves more
+/// ROIs than max_rois = 12 keeps on most scenes, where the shared
+/// detector (25 training steps) finds one box in a few scenes.
+const Substrate& eager_detector_substrate() {
+    static const Substrate substrate = [] {
+        const Substrate& shared = shared_substrate();
+        const auto copy_weights = [](const aero::nn::Module& from,
+                                     const aero::nn::Module& to) {
+            const auto src = from.parameters();
+            auto dst = to.parameters();
+            for (std::size_t i = 0; i < src.size(); ++i) {
+                dst[i].mutable_value() = src[i].value();
+            }
+        };
+        Substrate s;
+        s.dataset = shared.dataset;
+        s.budget = shared.budget;
+        s.embed_config = shared.embed_config;
+        aero::util::Rng rng(31);
+        s.clip = std::make_unique<aero::embed::ClipModel>(s.embed_config, rng);
+        copy_weights(*shared.clip, *s.clip);
+        s.detector = std::make_unique<aero::detect::GridDetector>(
+            shared.detector->config(), rng);
+        copy_weights(*shared.detector, *s.detector);
+        s.detector->parameters().back().mutable_value()[0] += 3.0f;
+        return s;
+    }();
+    return substrate;
+}
+
+/// One batched call over `inputs` against the per-sample reference of
+/// each. Returns the ROI rows the call produced, so a case can show it
+/// exercised the detector.
+int expect_batch_matches_reference(const Substrate& s,
+                                   const std::vector<ConditionInput>& inputs,
+                                   bool use_object_detection, int max_rois,
+                                   const std::string& label) {
+    const std::vector<ConditionFeatures> got = compute_condition_features(
+        s, inputs, use_object_detection, max_rois);
+    EXPECT_EQ(got.size(), inputs.size()) << label;
+    int roi_rows = 0;
+    for (std::size_t i = 0; i < inputs.size() && i < got.size(); ++i) {
+        const ConditionFeatures want = reference_condition_features(
+            s, *inputs[i].sample, *inputs[i].caption,
+            *inputs[i].target_caption, use_object_detection, max_rois);
+        expect_same_features(got[i], want,
+                             label + ", input " + std::to_string(i));
+        if (!got[i].roi_features.empty()) {
+            roi_rows += got[i].roi_features.dim(0);
+        }
+    }
+    return roi_rows;
+}
+
+/// A 128-sample split (the default budget's training split size) with
+/// keypoint-aware captions, encoded by the shared smoke substrate.
+struct WideSplit {
+    AerialDataset dataset;
+    std::vector<aero::text::Caption> captions;
+
+    WideSplit()
+        : dataset([] {
+              DatasetConfig config;
+              config.train_size = 128;
+              config.test_size = 1;
+              config.image_size = shared_substrate().budget.image_size;
+              config.seed = 919;
+              return config;
+          }()) {
+        aero::util::Rng rng(920);
+        captions = caption_split(dataset.train(),
+                                 aero::text::SimulatedLlm::keypoint_aware(),
+                                 aero::text::PromptTemplate::keypoint_aware(),
+                                 rng);
+    }
+
+    std::vector<ConditionInput> inputs(std::size_t count) const {
+        std::vector<ConditionInput> out;
+        for (std::size_t i = 0; i < count; ++i) {
+            out.push_back({&dataset.train()[i], &captions[i].text,
+                           &captions[i].text});
+        }
+        return out;
+    }
+};
+
+TEST(ConditionTest, BatchedFeaturesMatchPerSampleReference) {
+    const Substrate& eager = eager_detector_substrate();
+    const WideSplit split;
+
+    // The whole split in one call: eight full passes, most samples at
+    // the 12-ROI cap.
+    EXPECT_GT(expect_batch_matches_reference(eager, split.inputs(128), true,
+                                             12, "128-sample split"),
+              128 * 8);
+    // One full pass and a one-sample pass.
+    expect_batch_matches_reference(eager, split.inputs(17), true, 12,
+                                   "17 samples");
+
+    // Targets that differ from their caption, mixed with equal ones; one
+    // target is another sample's caption, one is empty.
+    {
+        std::vector<ConditionInput> inputs = split.inputs(19);
+        const std::string empty;
+        inputs[1].target_caption = &split.captions[7].text;
+        inputs[4].target_caption = &split.captions[90].text;
+        inputs[16].target_caption = &split.captions[3].text;
+        inputs[18].target_caption = &empty;
+        expect_batch_matches_reference(eager, inputs, true, 12,
+                                       "caption != target");
+    }
+
+    EXPECT_EQ(expect_batch_matches_reference(eager, split.inputs(20), false,
+                                             12, "detection off"),
+              0);
+    for (const int max_rois : {0, 1, 8, 12}) {
+        const int rows = expect_batch_matches_reference(
+            eager, split.inputs(18), true, max_rois,
+            "max_rois " + std::to_string(max_rois));
+        EXPECT_EQ(rows, 18 * max_rois) << "the cap binds on every sample";
+    }
+
+    // The shared substrate's detector, and a scene it finds nothing in
+    // between samples with ROIs.
+    const Substrate& s = shared_substrate();
+    expect_batch_matches_reference(s, split.inputs(17), true, 12,
+                                   "shared detector");
+    aero::scene::AerialSample blank = split.dataset.train()[0];
+    blank.image = aero::image::Image(s.budget.image_size, s.budget.image_size,
+                                     {0.0f, 0.0f, 0.0f});
+    ASSERT_TRUE(s.detector->detect(blank.image).empty());
+    std::vector<ConditionInput> inputs = split.inputs(40);
+    inputs[2].sample = &blank;
+    inputs[21].sample = &blank;
+    EXPECT_GT(expect_batch_matches_reference(s, inputs, true, 12,
+                                             "no detections"),
+              0);
+}
+
+TEST(ConditionTest, NonSquareImageEncodesAsItsResizedCopy) {
+    // A 32x48 image used to reach reshaped({1, 3, 32, 32}) unresized and
+    // throw; every feature now derives from the encoder-size image.
+    const Substrate& s = shared_substrate();
+    const int size = s.budget.image_size;
+    const std::string& caption = s.keypoint_train[2].text;
+    for (const auto& [width, height] :
+         {std::pair{size, size * 3 / 2}, std::pair{size * 3 / 2, size}}) {
+        aero::scene::AerialSample odd = s.dataset->train()[2];
+        odd.image = aero::image::resize_bilinear(odd.image, width, height);
+        aero::scene::AerialSample copy = odd;
+        copy.image = aero::image::resize_bilinear(odd.image, size, size);
+        const ConditionFeatures got =
+            compute_condition_features(s, odd, caption, caption, true, 12);
+        const ConditionFeatures want =
+            compute_condition_features(s, copy, caption, caption, true, 12);
+        expect_same_features(got, want,
+                             std::to_string(width) + "x" +
+                                 std::to_string(height));
+    }
+}
+
 TEST(PipelineConfigTest, Presets) {
     EXPECT_EQ(PipelineConfig::aero_diffusion().variant,
               ModelVariant::kAeroDiffusion);

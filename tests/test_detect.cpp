@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "detect/detector.hpp"
 #include "detect/evaluation.hpp"
 #include "scene/dataset.hpp"
@@ -11,6 +14,7 @@ using aero::scene::AerialDataset;
 using aero::scene::BoundingBox;
 using aero::scene::DatasetConfig;
 using aero::scene::ObjectClass;
+using aero::tensor::Tensor;
 
 DetectorConfig small_config() {
     DetectorConfig config;
@@ -147,12 +151,65 @@ TEST(ExtractRois, SizesAndCount) {
     std::vector<BoundingBox> boxes;
     boxes.push_back({10, 10, 6, 4, ObjectClass::kCar, 0.9f});
     boxes.push_back({0, 0, 3, 3, ObjectClass::kPedestrian, 0.8f});
-    const auto rois = extract_rois(img, boxes, 8);
-    ASSERT_EQ(rois.size(), 2u);
-    EXPECT_EQ(rois[0].width(), 8);
-    EXPECT_EQ(rois[0].height(), 8);
-    // First ROI is centred on the red rectangle.
-    EXPECT_GT(rois[0].at(4, 4, 0), 0.7f);
+    const Tensor rois = extract_rois(img, boxes, 8);
+    ASSERT_EQ(rois.shape(), (std::vector<int>{2, 3, 8, 8}));
+    // First ROI is centred on the red rectangle: red 1.0 maps to +1 in
+    // the encoder's [-1, 1] input, the grey background to 0.
+    EXPECT_GT(rois.at({0, 0, 4, 4}), 0.4f);
+    EXPECT_LT(rois.at({0, 1, 4, 4}), -0.4f);
+    EXPECT_TRUE(extract_rois(img, {}, 8).empty());
+}
+
+/// extract_rois as it was before it wrote tensors: image::crop, then
+/// image::resize_bilinear, then to_tensor_chw per ROI, concatenated.
+Tensor reference_extract_rois(const aero::image::Image& img,
+                              const std::vector<BoundingBox>& boxes,
+                              int roi_size) {
+    std::vector<Tensor> rois;
+    for (const BoundingBox& box : boxes) {
+        const int pad_x = std::max(1, static_cast<int>(box.w * 0.25f));
+        const int pad_y = std::max(1, static_cast<int>(box.h * 0.25f));
+        const aero::image::Image patch = aero::image::crop(
+            img, static_cast<int>(box.x) - pad_x,
+            static_cast<int>(box.y) - pad_y,
+            std::max(2, static_cast<int>(box.w) + 2 * pad_x),
+            std::max(2, static_cast<int>(box.h) + 2 * pad_y));
+        rois.push_back(aero::image::resize_bilinear(patch, roi_size, roi_size)
+                           .to_tensor_chw()
+                           .reshaped({1, 3, roi_size, roi_size}));
+    }
+    return aero::tensor::concat(rois, 0);
+}
+
+TEST(ExtractRois, TensorFormMatchesCropResizeChainBitForBit) {
+    aero::util::Rng rng(11);
+    std::vector<BoundingBox> boxes = {
+        {10, 10, 6, 4, ObjectClass::kCar, 0.9f},            // inside
+        {0, 0, 5, 7, ObjectClass::kVan, 0.9f},              // on the corner
+        {27.5f, 3.25f, 4.5f, 6.0f, ObjectClass::kBus, 0.9f},  // on the edge
+        {-3.7f, 25.2f, 9.0f, 11.0f, ObjectClass::kTruck, 0.9f},  // across
+        {30.0f, -2.0f, 8.0f, 5.5f, ObjectClass::kMotor, 0.9f},   // across
+        {12.0f, 9.0f, 1.0f, 1.0f, ObjectClass::kPedestrian, 0.9f},  // 1 px
+        {31.0f, 31.0f, 1.0f, 1.0f, ObjectClass::kPeople, 0.9f},  // 1 px corner
+        {-10.0f, -6.0f, 60.0f, 47.0f, ObjectClass::kBicycle, 0.9f},  // larger
+        {4.4f, 2.6f, 23.3f, 2.2f, ObjectClass::kTricycle, 0.9f},  // thin
+    };
+    // A noisy square and a non-square image, so every interpolation
+    // weight and both axes show.
+    for (const auto& [width, height] : {std::pair{32, 32}, std::pair{40, 28}}) {
+        aero::image::Image img(width, height, {0.4f, 0.5f, 0.6f});
+        aero::image::add_gaussian_noise(img, rng, 0.3f);
+        for (const int roi_size : {8, 32}) {
+            const Tensor got = extract_rois(img, boxes, roi_size);
+            const Tensor want = reference_extract_rois(img, boxes, roi_size);
+            ASSERT_EQ(got.shape(), want.shape());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  sizeof(float) *
+                                      static_cast<std::size_t>(got.size())),
+                      0)
+                << width << "x" << height << " image, roi_size " << roi_size;
+        }
+    }
 }
 
 // Property sweep: after NMS at threshold tau, no two kept boxes overlap

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "detect/detector.hpp"
 #include "embed/clip.hpp"
@@ -33,9 +34,19 @@ TEST(ImageEncoderTest, PooledAndTokenShapes) {
     EXPECT_EQ(pooled.value().dim(1), 16);
 
     const Var one = Var::constant(Tensor::randn({1, 3, 32, 32}, rng));
-    const Var tokens = encoder.forward_tokens(one);
+    const Var tokens = encoder.encode(one).tokens;
     EXPECT_EQ(tokens.value().dim(0), 16);  // (32/8)^2
     EXPECT_EQ(tokens.value().dim(1), 16);
+
+    // A batch's encoding: (32/8)^2 token rows per image, and the pooled
+    // rows of forward().
+    const ImageEncoder::Encoding batch = encoder.encode(images);
+    EXPECT_EQ(batch.tokens.value().dim(0), 3 * 16);
+    EXPECT_EQ(batch.tokens.value().dim(1), 16);
+    ASSERT_EQ(batch.pooled.value().shape(), pooled.value().shape());
+    EXPECT_EQ(std::memcmp(batch.pooled.value().data(), pooled.value().data(),
+                          sizeof(float) * pooled.value().size()),
+              0);
 }
 
 TEST(TextEncoderTest, HandlesEmptyAndLongInput) {
@@ -276,22 +287,24 @@ TEST(Integration, RoiPipelineEndToEnd) {
     std::vector<aero::scene::BoundingBox> top_boxes(
         sample.gt_boxes.begin(),
         sample.gt_boxes.begin() + std::min<std::size_t>(4, sample.gt_boxes.size()));
-    const auto rois =
+    // One [R, 3, 32, 32] batch: one encoder forward covers every ROI.
+    const Tensor rois =
         aero::detect::extract_rois(sample.image, top_boxes, 32);
     ASSERT_FALSE(rois.empty());
+    const int count = static_cast<int>(top_boxes.size());
+    EXPECT_EQ(rois.shape(), (std::vector<int>{count, 3, 32, 32}));
 
-    std::vector<Var> roi_feats;
     std::vector<Var> label_feats;
     const auto& vocab = aero::text::Vocabulary::aerial();
-    for (std::size_t i = 0; i < rois.size(); ++i) {
-        roi_feats.push_back(encoder.forward(Var::constant(
-            rois[i].to_tensor_chw().reshaped({1, 3, 32, 32}))));
+    for (const aero::scene::BoundingBox& box : top_boxes) {
         label_feats.push_back(text_encoder.forward(
-            vocab.encode(aero::scene::class_name(top_boxes[i].cls))));
+            vocab.encode(aero::scene::class_name(box.cls))));
     }
+    const Var roi_feats = encoder.forward(Var::constant(rois));
+    EXPECT_EQ(roi_feats.value().dim(0), count);
     const Var global = encoder.forward(Var::constant(
         sample.image.to_tensor_chw().reshaped({1, 3, 32, 32})));
-    const Var fused = augmenter.forward(global, ag::concat(roi_feats, 0),
+    const Var fused = augmenter.forward(global, roi_feats,
                                         ag::concat(label_feats, 0));
     EXPECT_EQ(fused.value().dim(0), 1);
     EXPECT_EQ(fused.value().dim(1), config.dim);

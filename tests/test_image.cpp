@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "image/image.hpp"
 #include "image/transforms.hpp"
@@ -213,6 +219,81 @@ TEST_P(ResizeSweep, EnergyRoughlyPreservedOnSmoothImages) {
     }
     const Image out = aero::image::resize_bilinear(img, w1, h1);
     EXPECT_NEAR(out.mean_luminance(), img.mean_luminance(), 0.05f);
+}
+
+/// resize_bilinear as it was written before it shared one kernel with
+/// crop_resize_chw: per pixel through Image::at, the two horizontal
+/// lerps and the vertical one rounded in this order.
+Image reference_resize_bilinear(const Image& src, int new_width,
+                                int new_height) {
+    Image dst(new_width, new_height);
+    const float sx = static_cast<float>(src.width()) / new_width;
+    const float sy = static_cast<float>(src.height()) / new_height;
+    for (int y = 0; y < new_height; ++y) {
+        const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
+        const int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0,
+                                  src.height() - 1);
+        const int y1 = std::min(y0 + 1, src.height() - 1);
+        const float ty = std::clamp(fy - static_cast<float>(y0), 0.0f, 1.0f);
+        for (int x = 0; x < new_width; ++x) {
+            const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
+            const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0,
+                                      src.width() - 1);
+            const int x1 = std::min(x0 + 1, src.width() - 1);
+            const float tx =
+                std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+            for (int c = 0; c < 3; ++c) {
+                const float top = src.at(x0, y0, c) +
+                                  (src.at(x1, y0, c) - src.at(x0, y0, c)) * tx;
+                const float bot = src.at(x0, y1, c) +
+                                  (src.at(x1, y1, c) - src.at(x0, y1, c)) * tx;
+                dst.at(x, y, c) = top + (bot - top) * ty;
+            }
+        }
+    }
+    return dst;
+}
+
+Image noise_image(int width, int height, std::uint64_t seed) {
+    Image img(width, height, {0.5f, 0.5f, 0.5f});
+    aero::util::Rng rng(seed);
+    aero::image::add_gaussian_noise(img, rng, 0.3f);
+    return img;
+}
+
+TEST_P(ResizeSweep, BitIdenticalToPerPixelReference) {
+    const auto [w0, h0, w1, h1] = GetParam();
+    const Image img = noise_image(w0, h0, 11);
+    const Image out = aero::image::resize_bilinear(img, w1, h1);
+    const Image want = reference_resize_bilinear(img, w1, h1);
+    ASSERT_EQ(out.width(), want.width());
+    ASSERT_EQ(out.height(), want.height());
+    EXPECT_EQ(std::memcmp(out.data().data(), want.data().data(),
+                          sizeof(float) * want.data().size()),
+              0);
+}
+
+TEST_P(ResizeSweep, CropResizeChwMatchesCropResizeToTensor) {
+    // Windows inside, across every edge and larger than the image, each
+    // resized to the sweep's output size.
+    const auto [w0, h0, w1, h1] = GetParam();
+    const Image img = noise_image(w0, h0, 12);
+    const std::vector<std::array<int, 4>> windows = {
+        {0, 0, w0, h0},          {1, 0, 2, 2},
+        {-2, -3, 5, 4},          {w0 - 1, h0 - 2, 4, 6},
+        {-3, -3, w0 + 6, h0 + 6}, {w0 + 2, -5, 3, 3}};
+    for (const auto& [x, y, w, h] : windows) {
+        const aero::tensor::Tensor want =
+            aero::image::resize_bilinear(aero::image::crop(img, x, y, w, h),
+                                         w1, h1)
+                .to_tensor_chw();
+        std::vector<float> got(static_cast<std::size_t>(want.size()));
+        aero::image::crop_resize_chw(img, x, y, w, h, w1, h1, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * got.size()),
+                  0)
+            << "window " << x << "," << y << " " << w << "x" << h;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

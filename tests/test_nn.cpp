@@ -282,6 +282,39 @@ TEST(Attention, SegmentedForwardEqualsOneCallPerSegment) {
         aero::tensor::concat({first.value(), second.value()}, 0)));
 }
 
+TEST(TransformerBlockTest, SegmentedForwardEqualsOneCallPerSegment) {
+    aero::util::Rng rng(46);
+    nn::TransformerBlock block(16, 4, rng);
+    // Perturb every parameter (the norms start at the identity affine).
+    for (Var p : block.parameters()) {
+        for (float& v : p.mutable_value()) {
+            v += 0.1f * static_cast<float>(rng.normal());
+        }
+    }
+    const int lengths[] = {1, 7, 64};
+    const Tensor x = Tensor::randn({72, 16}, rng);
+    std::vector<aero::tensor::AttentionSegment> segments;
+    std::vector<Tensor> per_segment;
+    int begin = 0;
+    for (const int rows : lengths) {
+        segments.push_back({begin, rows, begin, rows});
+        per_segment.push_back(
+            block.forward(Var::constant(
+                              aero::tensor::slice(x, 0, begin, begin + rows)))
+                .value());
+        begin += rows;
+    }
+    const Var stacked = block.forward(Var::constant(x), segments);
+    EXPECT_TRUE(bitwise_equal(stacked.value(),
+                              aero::tensor::concat(per_segment, 0)));
+    // A single segment over all rows is the unsegmented forward, and
+    // differs from the three-segment one.
+    const Tensor whole = block.forward(Var::constant(x)).value();
+    EXPECT_TRUE(bitwise_equal(
+        block.forward(Var::constant(x), {{0, 72, 0, 72}}).value(), whole));
+    EXPECT_FALSE(bitwise_equal(stacked.value(), whole));
+}
+
 // Parameterized attention-dimension sweep.
 class AttentionDims
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};

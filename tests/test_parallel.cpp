@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/condition.hpp"
 #include "diffusion/sampler.hpp"
 #include "diffusion/schedule.hpp"
 #include "diffusion/unet.hpp"
@@ -323,6 +326,59 @@ TEST(Determinism, SegmentedAttentionAndTokenTransposes) {
     expect_thread_count_invariant("tokens_to_map", [&] {
         return ops::tokens_to_map(tokens, map.shape());
     });
+}
+
+TEST(Determinism, ConditionFeaturesBatch) {
+    // Untrained encoders, and a detector whose objectness logits are
+    // raised so every scene yields a full ROI batch.
+    aero::core::Substrate substrate;
+    substrate.budget = aero::core::Budget::smoke();
+    substrate.embed_config.image_size = substrate.budget.image_size;
+    aero::util::Rng rng(22);
+    substrate.clip =
+        std::make_unique<aero::embed::ClipModel>(substrate.embed_config, rng);
+    aero::detect::DetectorConfig detector_config;
+    detector_config.image_size = substrate.budget.image_size;
+    detector_config.grid = detector_config.image_size / 4;
+    substrate.detector =
+        std::make_unique<aero::detect::GridDetector>(detector_config, rng);
+    substrate.detector->parameters().back().mutable_value()[0] += 3.0f;
+
+    // 20 samples: a full pass of 16 and a pass of 4; two targets differ
+    // from their captions.
+    aero::scene::DatasetConfig dataset_config;
+    dataset_config.train_size = 20;
+    dataset_config.test_size = 1;
+    dataset_config.image_size = substrate.budget.image_size;
+    const aero::scene::AerialDataset dataset(dataset_config);
+    const auto captions = aero::core::caption_split(
+        dataset.train(), aero::text::SimulatedLlm::keypoint_aware(),
+        aero::text::PromptTemplate::keypoint_aware(), rng);
+    std::vector<aero::core::ConditionInput> inputs;
+    for (std::size_t i = 0; i < dataset.train().size(); ++i) {
+        const std::size_t target = i % 9 == 4 ? (i + 1) % 20 : i;
+        inputs.push_back({&dataset.train()[i], &captions[i].text,
+                          &captions[target].text});
+    }
+
+    // Every field of every sample, flattened into one tensor.
+    const auto features = [&] {
+        std::vector<Tensor> parts;
+        for (const aero::core::ConditionFeatures& f :
+             aero::core::compute_condition_features(substrate, inputs, true,
+                                                    12)) {
+            for (const Tensor* field :
+                 {&f.image_tokens, &f.text_tokens, &f.clip_text,
+                  &f.clip_image, &f.global_feature, &f.roi_features,
+                  &f.label_embeddings}) {
+                EXPECT_FALSE(field->empty());
+                parts.push_back(field->reshaped({field->size()}));
+            }
+        }
+        return ops::concat(parts, 0);
+    };
+    expect_thread_count_invariant("compute_condition_features", features);
+    EXPECT_GT(chunks_per_call(features), 1);
 }
 
 TEST(Determinism, FullDdimSample) {
