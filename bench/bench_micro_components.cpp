@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "core/condition.hpp"
 #include "diffusion/sampler.hpp"
@@ -48,41 +49,89 @@ void BM_Conv2d(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2d)->Arg(8)->Arg(16)->Arg(32)->UseRealTime();
 
-/// The UNet up-block conv1 at a training batch: 72 -> 24 channels, 3x3,
-/// 8x8, batch 6.
-struct UpBlockConv {
-    static constexpr int kBatch = 6;
-    static constexpr int kIn = 72;
-    static constexpr int kOut = 24;
-    static constexpr int kSize = 8;
-    static constexpr std::int64_t kMacs =
-        std::int64_t{kBatch} * kOut * kSize * kSize * kIn * 9;
+enum class ConvKernel { kForward, kBackwardInput, kBackwardWeight };
 
-    util::Rng rng{5};
-    Tensor input = Tensor::randn({kBatch, kIn, kSize, kSize}, rng);
-    Tensor weight = Tensor::randn({kOut, kIn, 3, 3}, rng);
-    Tensor grad_out = Tensor::randn({kBatch, kOut, kSize, kSize}, rng);
+/// The 12 convolutions of one UNet forward at the default UNetConfig
+/// (in 4, base 24) on the 8x8 latent (diffusion/unet.cpp), each with
+/// random operands at `rows` batch rows.
+struct UNetConvStack {
+    struct Conv {
+        Tensor input, weight, bias, grad_out;
+        tensor::Conv2dSpec spec;
+    };
+    std::vector<Conv> convs;
+    std::int64_t macs = 0;
+
+    explicit UNetConvStack(int rows) {
+        const int in = 4;
+        const int c = 24;
+        const int full = 8;
+        const int half = full / 2;
+        struct Shape {
+            int in_channels, out_channels, kernel, size;
+        };
+        const Shape shapes[] = {
+            {in, c, 3, full},                                   // conv_in
+            {c, c, 3, full},         {c, c, 3, full},           // down
+            {c, 2 * c, 3, half},     {2 * c, 2 * c, 3, half},   // mid_in
+            {c, 2 * c, 1, half},                                // its skip
+            {2 * c, 2 * c, 3, half}, {2 * c, 2 * c, 3, half},   // mid_out
+            {3 * c, c, 3, full},     {c, c, 3, full},           // up
+            {3 * c, c, 1, full},                                // its skip
+            {c, in, 3, full},                                   // conv_out
+        };
+        util::Rng rng(9);
+        for (const Shape& s : shapes) {
+            convs.push_back(
+                {Tensor::randn({rows, s.in_channels, s.size, s.size}, rng),
+                 Tensor::randn(
+                     {s.out_channels, s.in_channels, s.kernel, s.kernel}, rng),
+                 Tensor::randn({s.out_channels}, rng),
+                 Tensor::randn({rows, s.out_channels, s.size, s.size}, rng),
+                 {1, s.kernel / 2}});
+            macs += std::int64_t{rows} * s.out_channels * s.size * s.size *
+                    s.in_channels * s.kernel * s.kernel;
+        }
+    }
 };
 
-void BM_Conv2dBackwardInput(benchmark::State& state) {
-    const UpBlockConv conv;
+/// One pass of a conv kernel over every UNet convolution: the forward at
+/// a 32-row serving step, the two backward kernels at a batch-6 training
+/// step. Items are multiply-adds over wall time, so the rate reads as
+/// MAC/s on however many threads the pool runs (AERO_THREADS=1 for the
+/// per-core rate).
+void BM_UNetConvStack(benchmark::State& state, ConvKernel kernel, int rows) {
+    const UNetConvStack stack(rows);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(tensor::conv2d_backward_input(
-            conv.grad_out, conv.weight, conv.input.shape(), {1, 1}));
+        for (const UNetConvStack::Conv& conv : stack.convs) {
+            switch (kernel) {
+                case ConvKernel::kForward:
+                    benchmark::DoNotOptimize(tensor::conv2d(
+                        conv.input, conv.weight, conv.bias, conv.spec));
+                    break;
+                case ConvKernel::kBackwardInput:
+                    benchmark::DoNotOptimize(tensor::conv2d_backward_input(
+                        conv.grad_out, conv.weight, conv.input.shape(),
+                        conv.spec));
+                    break;
+                case ConvKernel::kBackwardWeight:
+                    benchmark::DoNotOptimize(tensor::conv2d_backward_weight(
+                        conv.grad_out, conv.input, conv.weight.shape(),
+                        conv.spec));
+                    break;
+            }
+        }
     }
-    state.SetItemsProcessed(state.iterations() * UpBlockConv::kMacs);
+    state.SetItemsProcessed(state.iterations() * stack.macs);
 }
-BENCHMARK(BM_Conv2dBackwardInput)->UseRealTime();
-
-void BM_Conv2dBackwardWeight(benchmark::State& state) {
-    const UpBlockConv conv;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tensor::conv2d_backward_weight(
-            conv.grad_out, conv.input, conv.weight.shape(), {1, 1}));
-    }
-    state.SetItemsProcessed(state.iterations() * UpBlockConv::kMacs);
-}
-BENCHMARK(BM_Conv2dBackwardWeight)->UseRealTime();
+BENCHMARK_CAPTURE(BM_UNetConvStack, forward_rows32, ConvKernel::kForward, 32)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_UNetConvStack, backward_input_batch6,
+                  ConvKernel::kBackwardInput, 6)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_UNetConvStack, backward_weight_batch6,
+                  ConvKernel::kBackwardWeight, 6)
+    ->UseRealTime();
 
 void BM_MultiHeadAttention(benchmark::State& state) {
     const int tokens = static_cast<int>(state.range(0));

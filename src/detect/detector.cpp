@@ -173,15 +173,18 @@ TrainStats train_detector(GridDetector& detector,
     for (const scene::AerialSample& sample : samples) {
         image::Image sized = sample.image;
         std::vector<BoundingBox> boxes = sample.gt_boxes;
-        if (sized.width() != dc.image_size) {
-            const float sc = static_cast<float>(dc.image_size) /
+        if (sized.width() != dc.image_size ||
+            sized.height() != dc.image_size) {
+            const float sx = static_cast<float>(dc.image_size) /
                              static_cast<float>(sized.width());
+            const float sy = static_cast<float>(dc.image_size) /
+                             static_cast<float>(sized.height());
             sized = image::resize_bilinear(sized, dc.image_size, dc.image_size);
             for (BoundingBox& b : boxes) {
-                b.x *= sc;
-                b.y *= sc;
-                b.w *= sc;
-                b.h *= sc;
+                b.x *= sx;
+                b.y *= sy;
+                b.w *= sx;
+                b.h *= sy;
             }
         }
         inputs.push_back(sized.to_tensor_chw().reshaped(

@@ -82,7 +82,7 @@ AutoencoderTrainStats train_autoencoder(LatentAutoencoder& autoencoder,
     tensors.reserve(images.size());
     for (const image::Image& img : images) {
         image::Image sized = img;
-        if (sized.width() != size) {
+        if (sized.width() != size || sized.height() != size) {
             sized = image::resize_bilinear(sized, size, size);
         }
         tensors.push_back(sized.to_tensor_chw().reshaped({1, 3, size, size}));

@@ -82,7 +82,7 @@ ClipTrainStats train_clip(ClipModel& clip,
     token_lists.reserve(captions.size());
     for (std::size_t i = 0; i < images.size(); ++i) {
         image::Image sized = images[i];
-        if (sized.width() != size) {
+        if (sized.width() != size || sized.height() != size) {
             sized = image::resize_bilinear(sized, size, size);
         }
         image_tensors.push_back(

@@ -70,11 +70,12 @@ float Image::mean_luminance() const {
 
 tensor::Tensor Image::to_tensor_chw() const {
     tensor::Tensor t({3, height_, width_});
-    for (int c = 0; c < 3; ++c) {
-        for (int y = 0; y < height_; ++y) {
-            for (int x = 0; x < width_; ++x) {
-                t[(c * height_ + y) * width_ + x] = at(x, y, c) * 2.0f - 1.0f;
-            }
+    const int plane = height_ * width_;
+    const float* src = data_.data();  // interleaved RGB rows
+    float* dst = t.data();
+    for (int i = 0; i < plane; ++i) {
+        for (int c = 0; c < 3; ++c) {
+            dst[c * plane + i] = src[i * 3 + c] * 2.0f - 1.0f;
         }
     }
     return t;
@@ -85,12 +86,13 @@ Image Image::from_tensor_chw(const tensor::Tensor& chw) {
     const int h = chw.dim(1);
     const int w = chw.dim(2);
     Image img(w, h);
-    for (int c = 0; c < 3; ++c) {
-        for (int y = 0; y < h; ++y) {
-            for (int x = 0; x < w; ++x) {
-                img.at(x, y, c) = std::clamp(
-                    (chw[(c * h + y) * w + x] + 1.0f) * 0.5f, 0.0f, 1.0f);
-            }
+    const int plane = h * w;
+    const float* src = chw.data();
+    float* dst = img.data_.data();  // interleaved RGB rows
+    for (int i = 0; i < plane; ++i) {
+        for (int c = 0; c < 3; ++c) {
+            dst[i * 3 + c] =
+                std::clamp((src[c * plane + i] + 1.0f) * 0.5f, 0.0f, 1.0f);
         }
     }
     return img;
@@ -230,11 +232,14 @@ void crop_resize_chw(const Image& src, int x, int y, int w, int h,
 Image crop(const Image& src, int x, int y, int w, int h) {
     assert(w > 0 && h > 0);
     Image dst(w, h);
+    const float* in = src.data().data();  // interleaved RGB rows
+    float* out = dst.data().data();
     for (int dy = 0; dy < h; ++dy) {
         const int sy = std::clamp(y + dy, 0, src.height() - 1);
         for (int dx = 0; dx < w; ++dx) {
             const int sx = std::clamp(x + dx, 0, src.width() - 1);
-            dst.set_pixel(dx, dy, src.pixel(sx, sy));
+            std::copy_n(in + (sy * src.width() + sx) * 3, 3,
+                        out + (dy * w + dx) * 3);
         }
     }
     return dst;

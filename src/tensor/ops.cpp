@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -520,26 +522,37 @@ int conv_out_extent(int in, int kernel, const Conv2dSpec& spec) {
     return (in + 2 * spec.pad - kernel) / spec.stride + 1;
 }
 
-// Channel-lane convolution (DESIGN.md §11). A lane group is kLanes
-// channels whose accumulators sit side by side; the innermost loop of
-// every kernel below runs over one group with a compile-time trip count,
-// which -O2 vectorizes. Each output element still receives exactly the
-// direct NCHW loop's float additions, in that loop's order, skipping the
-// same taps — so the results are memcmp-identical to it
-// (tests/test_tensor.cpp keeps the direct loops as the reference).
+// Register-tiled channel-lane convolution (DESIGN.md §11). A lane group
+// is kLanes channels whose accumulators sit side by side. The innermost
+// step of every kernel below updates a tile of independent lane
+// accumulators, held in registers, from one shared operand load: kTile
+// output positions of one row (forward), kTile input positions of one
+// row (backward-input), or kTile input channels (backward-weight). Each
+// output element still receives exactly the direct NCHW loop's float
+// additions, in that loop's order, skipping the same taps — so the
+// results are memcmp-identical to it (tests/test_tensor.cpp keeps the
+// direct loops as the reference).
 constexpr int kLanes = 8;
+
+/// Positions (or input channels) per tile. With 8 lanes a tile is 8 SSE
+/// accumulators, which leaves registers for the shared operand.
+constexpr int kTile = 4;
 
 template <int L>
 using Lanes = std::integral_constant<int, L>;
 
+template <int T>
+using Tile = std::integral_constant<int, T>;
+
 int lane_groups(int channels) { return (channels + kLanes - 1) / kLanes; }
 
 /// A convolution with less work than this (mul-adds, whole lane groups
-/// counted) runs as one chunk on the calling thread. The lane kernels do
-/// 3-4 GMAC/s on one core, so that is about 0.15 ms: below it a pool
-/// dispatch saves little, and on a loaded host a descheduled worker
-/// stalls the whole call (the batch-1 encoder convs are thousands of
-/// such calls per fit()).
+/// counted) runs as one chunk on the calling thread. The tiled kernels
+/// do about 9-10 GMAC/s on one core on the UNet's 3x3 convs (7.5-9.5
+/// over its whole conv stack, BM_UNetConvStack at AERO_THREADS=1), so
+/// that is about 0.06 ms: below it a pool dispatch saves little, and on
+/// a loaded host a descheduled worker stalls the whole call (the batch-1
+/// encoder convs are thousands of such calls per fit()).
 constexpr std::int64_t kMinParallelConvFlops = 1 << 19;
 
 /// Grain for a convolution split into `units` units of `unit_flops`
@@ -562,6 +575,128 @@ void for_each_lane_block(int first, int last, Fn&& fn) {
         first += 4;
     }
     for (; first < last; ++first) fn(Lanes<1>{}, first);
+}
+
+/// Calls fn(Tile<T>{}, i) over [first, last) in ascending tiles: kTile
+/// wide while kTile remain, then one tile of the remainder.
+template <typename Fn>
+void for_each_tile(int first, int last, Fn&& fn) {
+    for (; last - first >= kTile; first += kTile) fn(Tile<kTile>{}, first);
+    switch (last - first) {
+        case 3: fn(Tile<3>{}, first); break;
+        case 2: fn(Tile<2>{}, first); break;
+        case 1: fn(Tile<1>{}, first); break;
+        default: break;
+    }
+}
+
+/// Forces a tile helper or lambda inline: a tile's accumulators stay in
+/// registers only while every access to them is inlined into one loop.
+#define AERO_ALWAYS_INLINE __attribute__((always_inline))
+
+/// Calls fn(std::integral_constant<int, I>{}) for I = 0 .. N-1. Tile
+/// indices are compile-time constants, so -O2 can keep a tile in
+/// registers.
+template <int N, typename Fn>
+AERO_ALWAYS_INLINE inline void unroll(Fn&& fn) {
+    [&]<int... I>(std::integer_sequence<int, I...>) AERO_ALWAYS_INLINE {
+        (fn(std::integral_constant<int, I>{}), ...);
+    }(std::make_integer_sequence<int, N>{});
+}
+
+/// Four floats in one SSE register (a GCC/Clang vector extension). Its
+/// arithmetic compiles to the same mulps/addps that -O2 vectorizes a
+/// float loop into (no FMA at the x86-64 baseline), so every product and
+/// sum rounds as the scalar loop's does. Unlike a float array tile,
+/// which -O2 keeps on the stack, a tile of these stays in registers.
+typedef float F4 __attribute__((vector_size(16)));
+
+/// L channels side by side: L / 4 vectors, or one float when L == 1.
+template <int L>
+struct LaneVec {
+    using Part = std::conditional_t<L == 1, float, F4>;
+    static constexpr int kParts = L == 1 ? 1 : L / 4;
+    Part part[kParts];
+};
+
+template <int L>
+AERO_ALWAYS_INLINE inline LaneVec<L> load_lanes(const float* p) {
+    LaneVec<L> v;
+    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
+        std::memcpy(&v.part[i], p + i * 4, sizeof v.part[i]);
+    });
+    return v;
+}
+
+/// `s` in every lane of one part of a LaneVec.
+template <typename Part>
+AERO_ALWAYS_INLINE inline Part splat(float s) {
+    if constexpr (std::is_same_v<Part, float>) {
+        return s;
+    } else {
+        return Part{s, s, s, s};
+    }
+}
+
+/// acc += s * v, lane by lane.
+template <int L>
+AERO_ALWAYS_INLINE inline void add_product(LaneVec<L>& acc, float s,
+                                           const LaneVec<L>& v) {
+    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
+        acc.part[i] += s * v.part[i];
+    });
+}
+
+/// Stores lane l of `v` to base[l * stride].
+template <int L>
+AERO_ALWAYS_INLINE inline void store_lanes(const LaneVec<L>& v, float* base,
+                                           int stride) {
+    unroll<L>([&](auto l) AERO_ALWAYS_INLINE {
+        if constexpr (L == 1) {
+            base[0] = v.part[0];
+        } else {
+            base[l * stride] = v.part[l / 4][l % 4];
+        }
+    });
+}
+
+/// Index i of a tile step lies inside an extent n.
+inline bool inside(int i, int n) {
+    return static_cast<unsigned>(i) < static_cast<unsigned>(n);
+}
+
+/// The steps k of a tile, ascending, where tile position p reads index
+/// base + p * spacing + k of an extent n. Only [lo, hi) reaches the
+/// extent at all; every position is inside on [mid_lo, mid_hi), while
+/// the steps before and after it need a per-position check.
+struct TileSteps {
+    int lo, mid_lo, mid_hi, hi;
+};
+
+/// Steps of [first, last) for a tile of T positions (see TileSteps).
+template <int T>
+TileSteps tile_steps(int first, int last, int base, int spacing, int n) {
+    const int span = (T - 1) * spacing;
+    const int lo = std::max(first, -base - span);
+    const int hi = std::max(lo, std::min(last, n - base));
+    const int mid_lo = std::clamp(-base, lo, hi);
+    const int mid_hi = std::clamp(n - base - span, mid_lo, hi);
+    return {lo, mid_lo, mid_hi, hi};
+}
+
+/// Runs step(k, checked) over the steps in ascending order, where
+/// `checked` is std::true_type on the steps that need a per-position
+/// check and std::false_type on those every position takes.
+template <typename Step>
+AERO_ALWAYS_INLINE inline void run_tile_steps(const TileSteps& s,
+                                              Step&& step) {
+    for (int k = s.lo; k < s.hi; ++k) {
+        if (k >= s.mid_lo && k < s.mid_hi) {
+            step(k, std::false_type{});
+        } else {
+            step(k, std::true_type{});
+        }
+    }
 }
 
 /// [batch][rows][cols] -> [batch][cols][rows]: moves a channel axis
@@ -620,118 +755,153 @@ Range outputs_with_tap(int k, int in, int out, const ConvGeometry& g) {
             last < 0 ? 0 : std::min(out, last / g.stride + 1)};
 }
 
-/// Forward for output channels [o0, o0 + L) of one batch item. `in_b` is
-/// [C][H][W]; `packed` is the weight as [C][KH][KW][OC]; `out_b` is
-/// [OC][OH][OW]. Per element: bias (or +0), then in * w over ch -> ky ->
-/// kx ascending.
-template <int L>
-void conv_forward_block(Lanes<L>, const ConvGeometry& g, const float* in_b,
-                        const float* packed, const float* bias, int o0,
-                        float* out_b) {
-    for (int y = 0; y < g.oh; ++y) {
-        const int iy0 = y * g.stride - g.pad;
-        const auto [ky0, ky1] = taps_inside(y, g.kh, g.h, g);
-        for (int x = 0; x < g.ow; ++x) {
-            const int ix0 = x * g.stride - g.pad;
-            const auto [kx0, kx1] = taps_inside(x, g.kw, g.w, g);
-            float acc[L];
-            for (int l = 0; l < L; ++l) {
-                acc[l] = bias == nullptr ? 0.0f : bias[o0 + l];
-            }
-            for (int ch = 0; ch < g.c; ++ch) {
-                const float* in_ch = in_b + ch * g.h * g.w;
-                const float* w_ch = packed + ch * g.kh * g.kw * g.oc + o0;
-                for (int ky = ky0; ky < ky1; ++ky) {
-                    const float* in_row = in_ch + (iy0 + ky) * g.w;
-                    const float* w_row = w_ch + ky * g.kw * g.oc;
-                    for (int kx = kx0; kx < kx1; ++kx) {
-                        const float v = in_row[ix0 + kx];
-                        const float* wp = w_row + kx * g.oc;
-                        for (int l = 0; l < L; ++l) acc[l] += v * wp[l];
-                    }
-                }
-            }
-            for (int l = 0; l < L; ++l) {
-                out_b[((o0 + l) * g.oh + y) * g.ow + x] = acc[l];
-            }
+/// Forward for output channels [o0, o0 + L) at the T output positions
+/// (y, x0 + p) of one batch item. `in_b` is [C][H][W]; `packed` is the
+/// weight as [C][KH][KW][OC]; `out_b` is [OC][OH][OW]. Per element:
+/// `init` (bias or +0), then in * w over ch -> ky -> kx ascending. The
+/// step over kx loads one weight vector for the whole tile; a position
+/// whose tap falls outside the input skips it, so a clipped tap neither
+/// reads a pad nor adds a term.
+template <int L, int T>
+void conv_forward_tile(const ConvGeometry& g, const float* in_b,
+                       const float* packed, const LaneVec<L>& init, int o0,
+                       int y, int x0, float* out_b) {
+    const auto [ky0, ky1] = taps_inside(y, g.kh, g.h, g);
+    const int iy0 = y * g.stride - g.pad;
+    const int ix0 = x0 * g.stride - g.pad;
+    const TileSteps steps = tile_steps<T>(0, g.kw, ix0, g.stride, g.w);
+    LaneVec<L> acc[T];
+    unroll<T>([&](auto p) AERO_ALWAYS_INLINE { acc[p] = init; });
+    for (int ch = 0; ch < g.c; ++ch) {
+        const float* in_ch = in_b + ch * g.h * g.w;
+        const float* w_ch = packed + ch * g.kh * g.kw * g.oc + o0;
+        for (int ky = ky0; ky < ky1; ++ky) {
+            const float* in_row = in_ch + (iy0 + ky) * g.w;
+            const float* w_row = w_ch + ky * g.kw * g.oc;
+            run_tile_steps(steps, [&](int kx, auto checked)
+                                      AERO_ALWAYS_INLINE {
+                const LaneVec<L> wv = load_lanes<L>(w_row + kx * g.oc);
+                unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+                    const int ix = ix0 + p * g.stride + kx;
+                    if (decltype(checked)::value && !inside(ix, g.w)) return;
+                    add_product(acc[p], in_row[ix], wv);
+                });
+            });
         }
     }
+    unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+        store_lanes(acc[p], out_b + (o0 * g.oh + y) * g.ow + x0 + p,
+                    g.oh * g.ow);
+    });
 }
 
-/// Input gradient for input channels [c0, c0 + L) of one batch item, in
-/// gather form. `grad_b` is [OC][OH][OW]; `packed` is the weight as
-/// [OC][KH][KW][C]; `out_b` is [C][H][W]. Per element: +0, then g * w
-/// over o, y, x ascending (ky, kx descending), skipping g == 0 — the
-/// order in which the direct loop scatters into it.
-template <int L>
-void conv_backward_input_block(Lanes<L>, const ConvGeometry& g,
-                               const float* grad_b, const float* packed,
-                               int c0, float* out_b) {
-    for (int iy = 0; iy < g.h; ++iy) {
-        const auto [y0, y1] = outputs_reaching(iy, g.kh, g.oh, g);
-        for (int ix = 0; ix < g.w; ++ix) {
-            const auto [x0, x1] = outputs_reaching(ix, g.kw, g.ow, g);
-            float acc[L] = {};
-            for (int o = 0; o < g.oc; ++o) {
-                const float* g_o = grad_b + o * g.oh * g.ow;
-                const float* w_o = packed + o * g.kh * g.kw * g.c + c0;
-                for (int y = y0; y < y1; ++y) {
-                    const int ky = iy + g.pad - y * g.stride;
-                    for (int x = x0; x < x1; ++x) {
-                        const float gv = g_o[y * g.ow + x];
-                        if (gv == 0.0f) continue;
-                        const int kx = ix + g.pad - x * g.stride;
-                        const float* wp = w_o + (ky * g.kw + kx) * g.c;
-                        for (int l = 0; l < L; ++l) acc[l] += gv * wp[l];
-                    }
-                }
-            }
-            for (int l = 0; l < L; ++l) {
-                out_b[((c0 + l) * g.h + iy) * g.w + ix] = acc[l];
-            }
+/// Input gradient for input channels [c0, c0 + L) at the T input
+/// positions (iy, ix0 + p * stride) of one batch item — one stride phase
+/// of a row — in gather form. `grad_b` is [OC][OH][OW]; `packed` is the
+/// weight as [OC][KH][KW][C]; `out_b` is [C][H][W]. Per element: +0,
+/// then g * w over o, y, x ascending (ky, kx descending) — the order in
+/// which the direct loop scatters into it. Every position takes output
+/// column xb + p through the same tap kx, so the step over xb loads one
+/// weight vector for the whole tile. A zero g adds +0 through a mask
+/// instead of being skipped: the sum starts at +0 and never becomes -0,
+/// so that leaves its bits unchanged, as the skip does, and a non-finite
+/// weight never reaches it through a zero g.
+template <int L, int T>
+void conv_backward_input_tile(const ConvGeometry& g, const float* grad_b,
+                              const float* packed, int c0, int iy, int ix0,
+                              float* out_b) {
+    using Part = typename LaneVec<L>::Part;
+    const auto [y0, y1] = outputs_reaching(iy, g.kh, g.oh, g);
+    // Tap kx = t - xb * stride of output column xb must lie in [0, kw).
+    const int t = ix0 + g.pad;
+    const int below = t - g.kw + 1;
+    const int xb_first =
+        below <= 0 ? -(-below / g.stride) : (below + g.stride - 1) / g.stride;
+    const TileSteps steps = tile_steps<T>(xb_first, t / g.stride + 1, 0, 1,
+                                          g.ow);
+    LaneVec<L> acc[T];
+    unroll<T>([&](auto p) AERO_ALWAYS_INLINE { acc[p] = LaneVec<L>{}; });
+    for (int o = 0; o < g.oc; ++o) {
+        const float* g_o = grad_b + o * g.oh * g.ow;
+        const float* w_o = packed + o * g.kh * g.kw * g.c + c0;
+        for (int y = y0; y < y1; ++y) {
+            const int ky = iy + g.pad - y * g.stride;
+            const float* g_row = g_o + y * g.ow;
+            const float* w_row = w_o + ky * g.kw * g.c;
+            run_tile_steps(steps, [&](int xb, auto checked)
+                                      AERO_ALWAYS_INLINE {
+                const int kx = t - xb * g.stride;
+                const LaneVec<L> wv = load_lanes<L>(w_row + kx * g.c);
+                unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+                    const int x = xb + p;
+                    if (decltype(checked)::value && !inside(x, g.ow)) return;
+                    const Part gv = splat<Part>(g_row[x]);
+                    const auto live = gv != Part{};
+                    unroll<LaneVec<L>::kParts>([&](auto i)
+                                                   AERO_ALWAYS_INLINE {
+                        const Part term = gv * wv.part[i];
+                        acc[p].part[i] += live ? term : Part{};
+                    });
+                });
+            });
         }
     }
+    unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+        store_lanes(acc[p],
+                    out_b + (c0 * g.h + iy) * g.w + ix0 + p * g.stride,
+                    g.h * g.w);
+    });
 }
 
-/// Weight gradient for output channels [o0, o0 + L) at input channel
-/// `ch`. `input` is [N][C][H][W]; `packed` is grad_out as [N][OH][OW][OC];
-/// `grad_w` is [OC][C][KH][KW]. Per element: +0, then g * in over
-/// b, y, x ascending. A zero g adds +0 instead of being skipped: the
+/// Weight gradient for output channels [o0, o0 + L) at the T input
+/// channels ch0 + p. `input` is [N][C][H][W]; `packed` is grad_out as
+/// [N][OH][OW][OC]; `grad_w` is [OC][C][KH][KW]. Per element: +0, then
+/// g * in over b, y, x ascending; each step loads one grad_out vector
+/// for the whole tile. A zero g adds +0 instead of being skipped: the
 /// accumulator starts at +0 and a float sum never becomes -0 from there,
 /// so adding +0 leaves its bits unchanged, exactly as the skip does (and
 /// a non-finite input never reaches the sum through a zero g).
-template <int L>
-void conv_backward_weight_block(Lanes<L>, const ConvGeometry& g, int n,
-                                const float* input, const float* packed,
-                                int ch, int o0, float* grad_w) {
+template <int L, int T>
+void conv_backward_weight_tile(const ConvGeometry& g, int n,
+                               const float* input, const float* packed,
+                               int ch0, int o0, float* grad_w) {
+    using Part = typename LaneVec<L>::Part;
+    const int plane = g.h * g.w;
     for (int ky = 0; ky < g.kh; ++ky) {
         const auto [y0, y1] = outputs_with_tap(ky, g.h, g.oh, g);
         for (int kx = 0; kx < g.kw; ++kx) {
             const auto [x0, x1] = outputs_with_tap(kx, g.w, g.ow, g);
-            float acc[L] = {};
+            LaneVec<L> acc[T];
+            unroll<T>(
+                [&](auto p) AERO_ALWAYS_INLINE { acc[p] = LaneVec<L>{}; });
             for (int b = 0; b < n; ++b) {
-                const float* in_ch = input + (b * g.c + ch) * g.h * g.w;
+                const float* in_b = input + (b * g.c + ch0) * plane;
                 const float* g_b = packed + b * g.oh * g.ow * g.oc + o0;
                 for (int y = y0; y < y1; ++y) {
                     const float* in_row =
-                        in_ch + (y * g.stride - g.pad + ky) * g.w;
+                        in_b + (y * g.stride - g.pad + ky) * g.w;
                     for (int x = x0; x < x1; ++x) {
-                        const float v = in_row[x * g.stride - g.pad + kx];
-                        const float* gp = g_b + (y * g.ow + x) * g.oc;
-                        // Products first, in their own loop, so the zero
-                        // select compiles to a mask rather than a branch.
-                        float p[L];
-                        for (int l = 0; l < L; ++l) p[l] = gp[l] * v;
-                        for (int l = 0; l < L; ++l) {
-                            acc[l] += gp[l] == 0.0f ? 0.0f : p[l];
-                        }
+                        const int ix = x * g.stride - g.pad + kx;
+                        const LaneVec<L> gv =
+                            load_lanes<L>(g_b + (y * g.ow + x) * g.oc);
+                        unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+                            const float v = in_row[p * plane + ix];
+                            unroll<LaneVec<L>::kParts>([&](auto i)
+                                                           AERO_ALWAYS_INLINE {
+                                const Part term = gv.part[i] * v;
+                                acc[p].part[i] +=
+                                    gv.part[i] != Part{} ? term : Part{};
+                            });
+                        });
                     }
                 }
             }
-            for (int l = 0; l < L; ++l) {
-                grad_w[(((o0 + l) * g.c + ch) * g.kh + ky) * g.kw + kx] =
-                    acc[l];
-            }
+            unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+                store_lanes(
+                    acc[p],
+                    grad_w + ((o0 * g.c + ch0 + p) * g.kh + ky) * g.kw + kx,
+                    g.c * g.kh * g.kw);
+            });
         }
     }
 }
@@ -773,11 +943,21 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
             for (std::int64_t u = u0; u < u1; ++u) {
                 const int b = static_cast<int>(u / groups);
                 const int first = static_cast<int>(u % groups) * kLanes;
+                const float* in_b = pi + b * c * h * w;
+                float* out_b = po + b * oc * oh * ow;
                 for_each_lane_block(
                     first, std::min(first + kLanes, oc),
                     [&](auto lanes, int o0) {
-                        conv_forward_block(lanes, g, pi + b * c * h * w, pw,
-                                           pb, o0, po + b * oc * oh * ow);
+                        constexpr int L = decltype(lanes)::value;
+                        const LaneVec<L> init = pb == nullptr
+                                                    ? LaneVec<L>{}
+                                                    : load_lanes<L>(pb + o0);
+                        for (int y = 0; y < oh; ++y) {
+                            for_each_tile(0, ow, [&](auto tile, int x0) {
+                                conv_forward_tile<L, decltype(tile)::value>(
+                                    g, in_b, pw, init, o0, y, x0, out_b);
+                            });
+                        }
                     });
             }
         });
@@ -817,12 +997,30 @@ Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
             for (std::int64_t u = u0; u < u1; ++u) {
                 const int b = static_cast<int>(u / groups);
                 const int first = static_cast<int>(u % groups) * kLanes;
+                const float* grad_b = pg + b * oc * oh * ow;
+                float* out_b = po + b * c * h * w;
                 for_each_lane_block(
                     first, std::min(first + kLanes, c),
                     [&](auto lanes, int c0) {
-                        conv_backward_input_block(
-                            lanes, g, pg + b * oc * oh * ow, pw, c0,
-                            po + b * c * h * w);
+                        constexpr int L = decltype(lanes)::value;
+                        // Tiles run over one stride phase of a row, so
+                        // every position meets a step's output column
+                        // through the same tap.
+                        for (int iy = 0; iy < h; ++iy) {
+                            for (int phase = 0; phase < spec.stride;
+                                 ++phase) {
+                                const int count =
+                                    (w - phase + spec.stride - 1) /
+                                    spec.stride;
+                                for_each_tile(0, count, [&](auto tile,
+                                                            int j) {
+                                    conv_backward_input_tile<
+                                        L, decltype(tile)::value>(
+                                        g, grad_b, pw, c0, iy,
+                                        phase + j * spec.stride, out_b);
+                                });
+                            }
+                        }
                     });
             }
         });
@@ -851,18 +1049,31 @@ Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
     const float* pg = packed.data();
     float* po = grad_w.data();
 
-    // Units are input channels: each writes the disjoint [:, ch, :, :]
-    // weight slab, once per element, from register accumulators.
+    // Units are (input-channel tile, output-channel group): each writes
+    // a disjoint block of weight elements, once per element, from
+    // register accumulators.
+    const int tiles = (c + kTile - 1) / kTile;
+    const int groups = lane_groups(oc);
     const std::int64_t unit_flops =
-        static_cast<std::int64_t>(n) * oh * ow * kh * kw * oc;
+        static_cast<std::int64_t>(n) * oh * ow * kh * kw * kTile * kLanes;
+    const std::int64_t units = static_cast<std::int64_t>(tiles) * groups;
     util::parallel_for(
-        0, c, conv_grain(c, unit_flops),
-        [&](std::int64_t ch0, std::int64_t ch1) {
-            for (std::int64_t ch = ch0; ch < ch1; ++ch) {
-                for_each_lane_block(0, oc, [&](auto lanes, int o0) {
-                    conv_backward_weight_block(lanes, g, n, pi, pg,
-                                               static_cast<int>(ch), o0, po);
-                });
+        0, units, conv_grain(units, unit_flops),
+        [&](std::int64_t u0, std::int64_t u1) {
+            for (std::int64_t u = u0; u < u1; ++u) {
+                const int ch0 = static_cast<int>(u / groups) * kTile;
+                const int first = static_cast<int>(u % groups) * kLanes;
+                for_each_tile(
+                    ch0, std::min(ch0 + kTile, c), [&](auto tile, int ch) {
+                        for_each_lane_block(
+                            first, std::min(first + kLanes, oc),
+                            [&](auto lanes, int o0) {
+                                conv_backward_weight_tile<
+                                    decltype(lanes)::value,
+                                    decltype(tile)::value>(g, n, pi, pg, ch,
+                                                           o0, po);
+                            });
+                    });
             }
         });
     return grad_w;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "detect/detector.hpp"
@@ -120,6 +121,71 @@ TEST(GridDetectorTest, TrainingReducesLoss) {
     const TrainStats stats =
         train_detector(detector, dataset.train(), train_config, rng);
     EXPECT_LT(stats.final_loss, stats.first_loss);
+}
+
+TEST(GridDetectorTest, NonSquareImagesTrainAsTheirResizedCopies) {
+    // A training image is resized to the detector's square whenever
+    // either extent differs, exactly as its resize_bilinear copy would
+    // be, and its boxes are scaled per axis: x and w by the width ratio,
+    // y and h by the height ratio.
+    DatasetConfig ds_config;
+    ds_config.train_size = 4;
+    ds_config.test_size = 1;
+    ds_config.image_size = 32;
+    const AerialDataset dataset(ds_config);
+    DetectorTrainConfig train_config;
+    train_config.steps = 3;
+    train_config.batch_size = 2;
+    for (const auto& [width, height] : {std::pair{32, 48}, {48, 32}}) {
+        SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height));
+        // Stretch each scene to width x height, then build the copies
+        // the trainer must match: resized back to 32x32 with boxes
+        // scaled by the trainer's per-axis ratios.
+        const float sx = 32.0f / static_cast<float>(width);
+        const float sy = 32.0f / static_cast<float>(height);
+        std::vector<aero::scene::AerialSample> stretched;
+        std::vector<aero::scene::AerialSample> resized;
+        for (const aero::scene::AerialSample& sample : dataset.train()) {
+            aero::scene::AerialSample wide = sample;
+            wide.image = aero::image::resize_bilinear(sample.image, width,
+                                                      height);
+            for (BoundingBox& b : wide.gt_boxes) {
+                b.x /= sx;
+                b.y /= sy;
+                b.w /= sx;
+                b.h /= sy;
+            }
+            aero::scene::AerialSample square = wide;
+            square.image = aero::image::resize_bilinear(wide.image, 32, 32);
+            for (BoundingBox& b : square.gt_boxes) {
+                b.x *= sx;
+                b.y *= sy;
+                b.w *= sx;
+                b.h *= sy;
+            }
+            stretched.push_back(std::move(wide));
+            resized.push_back(std::move(square));
+        }
+        aero::util::Rng rng_a(5);
+        aero::util::Rng rng_b(5);
+        GridDetector a(small_config(), rng_a);
+        GridDetector b(small_config(), rng_b);
+        train_detector(a, stretched, train_config, rng_a);
+        train_detector(b, resized, train_config, rng_b);
+        const auto pa = a.parameters();
+        const auto pb = b.parameters();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+            const Tensor& x = pa[i].value();
+            const Tensor& y = pb[i].value();
+            ASSERT_TRUE(x.same_shape(y));
+            EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                                  sizeof(float) *
+                                      static_cast<std::size_t>(x.size())),
+                      0)
+                << "parameter " << i;
+        }
+    }
 }
 
 TEST(GridDetectorTest, DetectReturnsBoxesInsideImage) {

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <string>
+#include <utility>
 
 #include "diffusion/autoencoder.hpp"
 #include "diffusion/sampler.hpp"
@@ -900,6 +902,44 @@ TEST(AutoencoderTest, ShapesRoundTrip) {
     for (float v : recon.value()) {
         EXPECT_GE(v, -1.0f);
         EXPECT_LE(v, 1.0f);
+    }
+}
+
+TEST(AutoencoderTest, NonSquareImagesTrainAsTheirResizedCopies) {
+    // A training image is resized to the autoencoder's square whenever
+    // either extent differs, exactly as its resize_bilinear copy would be.
+    AutoencoderConfig config;
+    config.image_size = 32;
+    config.base_channels = 8;
+    AutoencoderTrainConfig train_config;
+    train_config.steps = 3;
+    train_config.batch_size = 2;
+    for (const auto& [width, height] : {std::pair{32, 48}, {48, 32}}) {
+        SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height));
+        std::vector<aero::image::Image> images;
+        std::vector<aero::image::Image> resized;
+        for (int i = 0; i < 3; ++i) {
+            aero::image::Image img(width, height,
+                                   {0.2f + 0.2f * static_cast<float>(i), 0.5f,
+                                    0.7f - 0.2f * static_cast<float>(i)});
+            aero::image::fill_rect(img, 2 + 7 * i, 4 + 9 * i, 8, 12,
+                                   {1.0f, 1.0f, 1.0f});
+            resized.push_back(aero::image::resize_bilinear(img, 32, 32));
+            images.push_back(std::move(img));
+        }
+        aero::util::Rng rng_a(41);
+        aero::util::Rng rng_b(41);
+        LatentAutoencoder a(config, rng_a);
+        LatentAutoencoder b(config, rng_b);
+        train_autoencoder(a, images, train_config, rng_a);
+        train_autoencoder(b, resized, train_config, rng_b);
+        const std::vector<Var> pa = a.parameters();
+        const std::vector<Var> pb = b.parameters();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i) {
+            EXPECT_TRUE(bitwise_equal(pa[i].value(), pb[i].value()))
+                << "parameter " << i;
+        }
     }
 }
 

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "detect/detector.hpp"
 #include "embed/clip.hpp"
@@ -144,6 +147,63 @@ TEST(ClipModelTest, ContrastiveTrainingAlignsPairs) {
     const float match = clip_score(clip, images[0], captions[0]);
     const float mismatch = clip_score(clip, images[0], captions[1]);
     EXPECT_GT(match, mismatch);
+}
+
+/// Two width x height training images: a colour field with a white block
+/// off the centre, so a resize moves real content on both axes.
+std::vector<aero::image::Image> block_images(int width, int height) {
+    std::vector<aero::image::Image> images;
+    for (int i = 0; i < 2; ++i) {
+        aero::image::Image img(width, height,
+                               {0.8f - 0.6f * static_cast<float>(i), 0.2f,
+                                0.2f + 0.6f * static_cast<float>(i)});
+        aero::image::fill_rect(img, 3 + 9 * i, 5 + 11 * i, 9, 13,
+                               {1.0f, 1.0f, 1.0f});
+        images.push_back(std::move(img));
+    }
+    return images;
+}
+
+bool same_parameters(const std::vector<Var>& a, const std::vector<Var>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const Tensor& x = a[i].value();
+        const Tensor& y = b[i].value();
+        if (!x.same_shape(y) ||
+            std::memcmp(x.data(), y.data(),
+                        sizeof(float) * static_cast<std::size_t>(x.size())) !=
+                0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(ClipModelTest, NonSquareImagesTrainAsTheirResizedCopies) {
+    // A training image is resized to the model's square whenever either
+    // extent differs, exactly as its resize_bilinear copy would be.
+    const std::vector<std::string> captions{
+        "numerous cars near the busy highway",
+        "a tranquil park with trees and a pond"};
+    ClipTrainConfig config;
+    config.steps = 3;
+    config.batch_size = 2;
+    for (const auto& [width, height] : {std::pair{32, 48}, {48, 32}}) {
+        SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height));
+        const std::vector<aero::image::Image> images =
+            block_images(width, height);
+        std::vector<aero::image::Image> resized;
+        for (const aero::image::Image& img : images) {
+            resized.push_back(aero::image::resize_bilinear(img, 32, 32));
+        }
+        aero::util::Rng rng_a(31);
+        aero::util::Rng rng_b(31);
+        ClipModel a(small_config(), rng_a);
+        ClipModel b(small_config(), rng_b);
+        train_clip(a, images, captions, config, rng_a);
+        train_clip(b, resized, captions, config, rng_b);
+        EXPECT_TRUE(same_parameters(a.parameters(), b.parameters()));
+    }
 }
 
 TEST(ClipScore, Bounds) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "image/image.hpp"
@@ -303,6 +304,87 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32, 16, 16, 32),
                       std::make_tuple(7, 13, 13, 7),
                       std::make_tuple(1, 1, 4, 4)));
+
+// to_tensor_chw, from_tensor_chw and crop as they were written before
+// they indexed the pixel buffer directly: per pixel through Image::at.
+aero::tensor::Tensor reference_to_tensor_chw(const Image& img) {
+    const int w = img.width();
+    const int h = img.height();
+    aero::tensor::Tensor t({3, h, w});
+    for (int c = 0; c < 3; ++c) {
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                t[(c * h + y) * w + x] = img.at(x, y, c) * 2.0f - 1.0f;
+            }
+        }
+    }
+    return t;
+}
+
+Image reference_from_tensor_chw(const aero::tensor::Tensor& chw) {
+    const int h = chw.dim(1);
+    const int w = chw.dim(2);
+    Image img(w, h);
+    for (int c = 0; c < 3; ++c) {
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < w; ++x) {
+                img.at(x, y, c) = std::clamp(
+                    (chw[(c * h + y) * w + x] + 1.0f) * 0.5f, 0.0f, 1.0f);
+            }
+        }
+    }
+    return img;
+}
+
+Image reference_crop(const Image& src, int x, int y, int w, int h) {
+    Image dst(w, h);
+    for (int dy = 0; dy < h; ++dy) {
+        const int sy = std::clamp(y + dy, 0, src.height() - 1);
+        for (int dx = 0; dx < w; ++dx) {
+            const int sx = std::clamp(x + dx, 0, src.width() - 1);
+            dst.set_pixel(dx, dy, src.pixel(sx, sy));
+        }
+    }
+    return dst;
+}
+
+bool same_pixels(const Image& a, const Image& b) {
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       sizeof(float) * a.data().size()) == 0;
+}
+
+TEST(DirectIndexing, BitIdenticalToPerPixelReference) {
+    const std::array<std::array<int, 2>, 4> sizes = {
+        {{8, 8}, {7, 13}, {13, 7}, {1, 5}}};
+    for (const auto& [w, h] : sizes) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        const Image img = noise_image(w, h, 21);
+        const aero::tensor::Tensor chw = img.to_tensor_chw();
+        const aero::tensor::Tensor want_chw = reference_to_tensor_chw(img);
+        ASSERT_TRUE(chw.same_shape(want_chw));
+        EXPECT_EQ(std::memcmp(chw.data(), want_chw.data(),
+                              sizeof(float) * static_cast<std::size_t>(
+                                                  chw.size())),
+                  0);
+
+        // Values past [-1, 1] exercise the clamp.
+        aero::util::Rng rng(22);
+        const aero::tensor::Tensor noisy =
+            aero::tensor::Tensor::randn({3, h, w}, rng, 0.0f, 1.5f);
+        EXPECT_TRUE(same_pixels(Image::from_tensor_chw(noisy),
+                                reference_from_tensor_chw(noisy)));
+
+        const std::vector<std::array<int, 4>> windows = {
+            {0, 0, w, h},        {1, 0, 2, 2},         {-2, -3, 5, 4},
+            {w - 1, h - 2, 4, 6}, {-3, -3, w + 6, h + 6}, {w + 2, -5, 3, 3}};
+        for (const auto& [x, y, cw, ch] : windows) {
+            EXPECT_TRUE(same_pixels(aero::image::crop(img, x, y, cw, ch),
+                                    reference_crop(img, x, y, cw, ch)))
+                << "window " << x << "," << y << " " << cw << "x" << ch;
+        }
+    }
+}
 
 TEST(Draw, OrientedRectAreaStableUnderRotation) {
     // The covered area of a rotated rectangle must stay roughly equal at

@@ -140,13 +140,17 @@ TEST(Determinism, Conv2d) {
 }
 
 TEST(Determinism, Conv2dLaneTails) {
-    // 5 input channels leave a 4-wide and a 1-wide lane block and 20
-    // output channels a 4-wide one, so chunks hold partial lane groups.
-    // 32x32 keeps every kernel above the size a convolution needs to be
-    // split at all, at both strides (checked below).
+    // 7 input channels leave a 4-wide and three 1-wide lane blocks, and a
+    // 4-wide and a 3-wide channel tile, and 20 output channels a 4-wide
+    // lane block, so chunks hold partial lane groups and partial tiles.
+    // 29 columns leave a 1-wide position tile at stride 1 (29 outputs)
+    // and 3- and 2-wide ones at stride 2 (15 outputs; input phases of 15
+    // and 14 columns). 32 rows keep every kernel above the size a
+    // convolution needs to be split at all, at both strides (checked
+    // below).
     aero::util::Rng rng(17);
-    const Tensor input = Tensor::randn({3, 5, 32, 32}, rng);
-    const Tensor weight = Tensor::randn({20, 5, 3, 3}, rng);
+    const Tensor input = Tensor::randn({3, 7, 32, 29}, rng);
+    const Tensor weight = Tensor::randn({20, 7, 3, 3}, rng);
     const Tensor bias = Tensor::randn({20}, rng);
     for (const int stride : {1, 2}) {
         const ops::Conv2dSpec spec{stride, 1};

@@ -457,7 +457,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvCase{8, 3, 1, 1}, ConvCase{8, 3, 2, 1},
                       ConvCase{8, 1, 1, 0}, ConvCase{16, 5, 1, 2},
                       ConvCase{16, 3, 2, 0}, ConvCase{9, 3, 1, 0},
-                      ConvCase{12, 4, 2, 1}));
+                      ConvCase{12, 4, 2, 1},
+                      // 4x4 (the UNet mid block) and 2x2 maps: every
+                      // position tile touches both edges. A 1x1 conv
+                      // with pad 1 has border outputs that take no tap.
+                      ConvCase{4, 3, 1, 1}, ConvCase{2, 3, 1, 1},
+                      ConvCase{4, 1, 1, 1}, ConvCase{2, 1, 1, 1}));
 
 TEST(ConvReference, UNetShapesAtServingBatches) {
     // Every convolution of one UNet forward at the default UNetConfig
@@ -480,7 +485,7 @@ TEST(ConvReference, UNetShapesAtServingBatches) {
         {1, 3 * c, c, latent, latent, 1, 1, 0},       // up skip
         {1, c, in, latent, latent, 3, 1, 1},          // conv_out
     };
-    for (const int batch : {1, 2, 6}) {
+    for (const int batch : {1, 2, 6, 32}) {
         for (ConvProblem p : shapes) {
             p.n = batch;
             expect_matches_reference(p);
@@ -524,6 +529,61 @@ TEST(ConvReference, ZeroGradientSkipsHoldWithInfiniteValues) {
     EXPECT_TRUE(bitwise_equal(
         ops::conv2d_backward_weight(grad, x, weight.shape(), spec),
         reference_conv2d_backward_weight(grad, x, weight.shape(), spec)));
+}
+
+TEST(ConvReference, EveryTileRemainder) {
+    // The forward tiles 4 output positions of a row and backward-input 4
+    // input positions of one stride phase of a row, so widths 1-13 leave
+    // every remainder, with and without full tiles before it, and at
+    // strides 2 and 3 the phases of one row differ in length.
+    for (int width = 1; width <= 13; ++width) {
+        expect_matches_reference({2, 9, 20, 3, width, 3, 1, 1});
+        expect_matches_reference({1, 5, 12, 2, width, 1, 1, 0});
+    }
+    for (const int stride : {2, 3}) {
+        for (int width = 1; width <= 3 * 13; ++width) {
+            expect_matches_reference({1, 5, 9, 4, width, 3, stride, 1});
+        }
+    }
+}
+
+TEST(ConvReference, ClippedTapsAddNoTerm) {
+    // Inputs are positive and every weight is -0 except one corner tap
+    // per output channel, which is +inf. So every output element is -0
+    // (the bias) plus -0 terms, and +inf once it takes an infinite tap.
+    // A kernel that multiplied a zero pad by a clipped infinite tap
+    // would make NaN, and one that added +0 for a clipped tap would turn
+    // the -0 sum into +0.
+    const float inf = std::numeric_limits<float>::infinity();
+    const int corners[4][2] = {{0, 0}, {0, 2}, {2, 0}, {2, 2}};
+    const int c = 3;
+    const int oc = 12;
+    Tensor weight({oc, c, 3, 3});
+    for (int i = 0; i < weight.size(); ++i) weight[i] = -0.0f;
+    for (int o = 0; o < oc; ++o) {
+        for (int ch = 0; ch < c; ++ch) {
+            const auto [ky, kx] = corners[o % 4];
+            weight[((o * c + ch) * 3 + ky) * 3 + kx] = inf;
+        }
+    }
+    Tensor bias({oc});
+    for (int o = 0; o < oc; ++o) bias[o] = -0.0f;
+    aero::util::Rng rng(29);
+    for (const int size : {2, 4, 7}) {
+        for (const int stride : {1, 2}) {
+            SCOPED_TRACE("size " + std::to_string(size) + " stride " +
+                         std::to_string(stride));
+            Tensor x = Tensor::randn({2, c, size, size + 1}, rng);
+            for (int i = 0; i < x.size(); ++i) x[i] = std::fabs(x[i]) + 0.5f;
+            const Conv2dSpec spec{stride, 1};
+            const Tensor out = ops::conv2d(x, weight, bias, spec);
+            EXPECT_TRUE(
+                bitwise_equal(out, reference_conv2d(x, weight, bias, spec)));
+            // The top-left output of channel 0 clips the +inf tap (0, 0).
+            EXPECT_EQ(out[0], 0.0f);
+            EXPECT_TRUE(std::signbit(out[0]));
+        }
+    }
 }
 
 // Property sweep: matmul associativity-with-transpose identities hold
