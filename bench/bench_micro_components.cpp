@@ -34,6 +34,39 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
+enum class LinearGrad { kInput, kWeight };
+
+/// One backward product of a Linear layer (`in` -> `out`) over the
+/// condition graph's 60 text-token rows: the input gradient
+/// matmul_nt(g, W) or the weight gradient matmul_tn(x, g). Items are
+/// multiply-adds over wall time.
+void BM_LinearBackward(benchmark::State& state, LinearGrad grad, int in,
+                       int out) {
+    const int rows = 60;
+    util::Rng rng(10);
+    const Tensor x = Tensor::randn({rows, in}, rng);
+    const Tensor w = Tensor::randn({in, out}, rng);
+    const Tensor g = Tensor::randn({rows, out}, rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(grad == LinearGrad::kInput
+                                     ? tensor::matmul_nt(g, w)
+                                     : tensor::matmul_tn(x, g));
+    }
+    state.SetItemsProcessed(state.iterations() * rows * in * out);
+}
+BENCHMARK_CAPTURE(BM_LinearBackward, matmul_nt_60x32x32, LinearGrad::kInput,
+                  32, 32)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LinearBackward, matmul_tn_60x32x32, LinearGrad::kWeight,
+                  32, 32)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LinearBackward, matmul_nt_60x64x32, LinearGrad::kInput,
+                  64, 32)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_LinearBackward, matmul_tn_60x64x32, LinearGrad::kWeight,
+                  64, 32)
+    ->UseRealTime();
+
 void BM_Conv2d(benchmark::State& state) {
     const int size = static_cast<int>(state.range(0));
     util::Rng rng(2);
@@ -250,6 +283,43 @@ void BM_ConditionFeatures(benchmark::State& state) {
                             static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_ConditionFeatures)->Arg(1)->Arg(16)->UseRealTime();
+
+/// The condition-encoder graph of one fit() step: six
+/// ConditionEncoder::encode calls (BLIP fusion, region augmenter) and
+/// one backward through all six, on synthetic features of perfbench's
+/// shapes (60 text tokens, 16 image tokens, 12 ROIs, d = 32). Items are
+/// samples.
+void BM_ConditionEncoderGraph(benchmark::State& state) {
+    const int samples = 6;
+    util::Rng rng(11);
+    const embed::EmbedConfig config;
+    const int d = config.dim;
+    core::ConditionEncoder encoder(config, /*use_blip_fusion=*/true,
+                                   /*use_image_feature=*/true,
+                                   /*use_region_augment=*/true, rng);
+    std::vector<core::ConditionFeatures> features(samples);
+    for (core::ConditionFeatures& f : features) {
+        f.image_tokens = Tensor::randn({16, d}, rng);
+        f.text_tokens = Tensor::randn({60, d}, rng);
+        f.clip_text = Tensor::randn({1, d}, rng);
+        f.clip_image = Tensor::randn({1, d}, rng);
+        f.global_feature = Tensor::randn({1, d}, rng);
+        f.roi_features = Tensor::randn({12, d}, rng);
+        f.label_embeddings = Tensor::randn({12, d}, rng);
+    }
+    for (auto _ : state) {
+        encoder.zero_grad();
+        Var total = autograd::sum_all(encoder.encode(features[0]));
+        for (int i = 1; i < samples; ++i) {
+            total = autograd::add(
+                total, autograd::sum_all(encoder.encode(features[i])));
+        }
+        total.backward();
+        benchmark::DoNotOptimize(total.value());
+    }
+    state.SetItemsProcessed(state.iterations() * samples);
+}
+BENCHMARK(BM_ConditionEncoderGraph)->UseRealTime();
 
 void BM_FidComputation(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));

@@ -12,7 +12,9 @@
 #      race-check the full concurrency-heavy suite list instead.
 #   3. python3 perfbench/selftest.py                (.bench_build/)
 #      Short untraced + traced run of every BENCHMARK.json workload,
-#      checking the result line and the AERO_* refusal.
+#      checking the result line and the AERO_* refusal; then
+#      python3 scripts/ab_pairs.py --selftest, which checks the A/B
+#      runner's statistics and BENCH_perfbench.json rows (no build).
 #   4. scripts/analyze.sh                           (build-analyze/)
 #      Strict -Werror build, clang-tidy when available, aero_lint.
 #      The analyze build dir is cached across runs, so repeat
@@ -99,6 +101,7 @@ echo "== benchmark selftest =="
     done
     python3 perfbench/selftest.py
 )
+python3 scripts/ab_pairs.py --selftest
 
 if [ "${AERO_CHECK_ANALYZE:-1}" != "0" ]; then
     echo "== static analysis =="

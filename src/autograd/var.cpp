@@ -146,8 +146,12 @@ Var matmul(const Var& a, const Var& b) {
     auto bn = b.node();
     return Var::make(ops::matmul(a.value(), b.value()), {a, b},
                      [an, bn](const Tensor& g) {
-                         an->accumulate(ops::matmul_nt(g, bn->value));
-                         bn->accumulate(ops::matmul_tn(an->value, g));
+                         if (an->requires_grad) {
+                             an->accumulate(ops::matmul_nt(g, bn->value));
+                         }
+                         if (bn->requires_grad) {
+                             bn->accumulate(ops::matmul_tn(an->value, g));
+                         }
                      });
 }
 

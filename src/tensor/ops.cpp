@@ -78,6 +78,252 @@ void outer_inner(const std::vector<int>& shape, int axis, int* outer,
     }
 }
 
+// Register tiles (DESIGN.md §11). A lane group is kLanes output elements
+// whose accumulators sit side by side: consecutive channels of a
+// convolution, consecutive columns of a matrix product. The innermost
+// step of every tiled kernel updates a tile of independent lane
+// accumulators, held in registers, from one shared operand load. Each
+// output element still receives exactly the additions of the kernel's
+// direct loop, in that loop's order, so the results are memcmp-identical
+// to it (tests/test_tensor.cpp keeps the direct loops as the reference).
+constexpr int kLanes = 8;
+
+/// Positions, input channels or rows per tile. With 8 lanes a tile is 8
+/// SSE accumulators, which leaves registers for the shared operand.
+constexpr int kTile = 4;
+
+template <int L>
+using Lanes = std::integral_constant<int, L>;
+
+template <int T>
+using Tile = std::integral_constant<int, T>;
+
+int lane_groups(int channels) { return (channels + kLanes - 1) / kLanes; }
+
+/// A convolution or matrix product with less work than this (mul-adds,
+/// whole conv lane groups counted) runs as one chunk on the calling
+/// thread. The tiled kernels do about 9-10 GMAC/s on one core on the
+/// UNet's 3x3 convs (7.5-9.5 over its whole conv stack, BM_UNetConvStack
+/// at AERO_THREADS=1) and 4-7 on square products (BM_MatMul/64 and /128),
+/// so that is about 0.05-0.13 ms: below it a pool dispatch saves little,
+/// and on a loaded host a descheduled worker stalls the whole call (the
+/// batch-1 encoder convs and the condition encoder's products are
+/// thousands of such calls per fit()).
+constexpr std::int64_t kMinParallelFlops = 1 << 19;
+
+/// Grain for a kernel split into `units` units of `unit_flops` each: a
+/// single chunk below kMinParallelFlops, else the usual per-chunk floor
+/// rounded up to a multiple of `whole` units.
+std::int64_t tiled_grain(std::int64_t units, std::int64_t unit_flops,
+                         std::int64_t whole = 1) {
+    if (units * unit_flops < kMinParallelFlops) return units;
+    const std::int64_t grain = util::grain_for(unit_flops, kMinChunkFlops);
+    return (grain + whole - 1) / whole * whole;
+}
+
+/// Calls fn(Lanes<L>{}, c) over channels [first, last) in ascending
+/// blocks: 8-wide while 8 remain, then one 4-wide block if 4 remain,
+/// then 1-wide blocks.
+template <typename Fn>
+void for_each_lane_block(int first, int last, Fn&& fn) {
+    for (; last - first >= kLanes; first += kLanes) fn(Lanes<kLanes>{}, first);
+    if (last - first >= 4) {
+        fn(Lanes<4>{}, first);
+        first += 4;
+    }
+    for (; first < last; ++first) fn(Lanes<1>{}, first);
+}
+
+/// Calls fn(Tile<T>{}, i) over [first, last) in ascending tiles: kTile
+/// wide while kTile remain, then one tile of the remainder.
+template <typename Fn>
+void for_each_tile(int first, int last, Fn&& fn) {
+    for (; last - first >= kTile; first += kTile) fn(Tile<kTile>{}, first);
+    switch (last - first) {
+        case 3: fn(Tile<3>{}, first); break;
+        case 2: fn(Tile<2>{}, first); break;
+        case 1: fn(Tile<1>{}, first); break;
+        default: break;
+    }
+}
+
+/// Forces a tile helper or lambda inline: a tile's accumulators stay in
+/// registers only while every access to them is inlined into one loop.
+#define AERO_ALWAYS_INLINE __attribute__((always_inline))
+
+/// Calls fn(std::integral_constant<int, I>{}) for I = 0 .. N-1. Tile
+/// indices are compile-time constants, so -O2 can keep a tile in
+/// registers.
+template <int N, typename Fn>
+AERO_ALWAYS_INLINE inline void unroll(Fn&& fn) {
+    [&]<int... I>(std::integer_sequence<int, I...>) AERO_ALWAYS_INLINE {
+        (fn(std::integral_constant<int, I>{}), ...);
+    }(std::make_integer_sequence<int, N>{});
+}
+
+/// Four floats in one SSE register (a GCC/Clang vector extension). Its
+/// arithmetic compiles to the same mulps/addps that -O2 vectorizes a
+/// float loop into (no FMA at the x86-64 baseline), so every product and
+/// sum rounds as the scalar loop's does. Unlike a float array tile,
+/// which -O2 keeps on the stack, a tile of these stays in registers.
+typedef float F4 __attribute__((vector_size(16)));
+
+/// L channels side by side: L / 4 vectors, or one float when L == 1.
+template <int L>
+struct LaneVec {
+    using Part = std::conditional_t<L == 1, float, F4>;
+    static constexpr int kParts = L == 1 ? 1 : L / 4;
+    Part part[kParts];
+};
+
+template <int L>
+AERO_ALWAYS_INLINE inline LaneVec<L> load_lanes(const float* p) {
+    LaneVec<L> v;
+    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
+        std::memcpy(&v.part[i], p + i * 4, sizeof v.part[i]);
+    });
+    return v;
+}
+
+/// Stores the L lanes of `v` to p[0 .. L).
+template <int L>
+AERO_ALWAYS_INLINE inline void store_row(const LaneVec<L>& v, float* p) {
+    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
+        std::memcpy(p + i * 4, &v.part[i], sizeof v.part[i]);
+    });
+}
+
+/// `s` in every lane of one part of a LaneVec.
+template <typename Part>
+AERO_ALWAYS_INLINE inline Part splat(float s) {
+    if constexpr (std::is_same_v<Part, float>) {
+        return s;
+    } else {
+        return Part{s, s, s, s};
+    }
+}
+
+/// acc += s * v, lane by lane.
+template <int L>
+AERO_ALWAYS_INLINE inline void add_product(LaneVec<L>& acc, float s,
+                                           const LaneVec<L>& v) {
+    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
+        acc.part[i] += s * v.part[i];
+    });
+}
+
+/// Stores lane l of `v` to base[l * stride].
+template <int L>
+AERO_ALWAYS_INLINE inline void store_lanes(const LaneVec<L>& v, float* base,
+                                           int stride) {
+    unroll<L>([&](auto l) AERO_ALWAYS_INLINE {
+        if constexpr (L == 1) {
+            base[0] = v.part[0];
+        } else {
+            base[l * stride] = v.part[l / 4][l % 4];
+        }
+    });
+}
+
+/// [batch][rows][cols] -> [batch][cols][rows]: moves a channel axis
+/// innermost so that one lane group reads contiguous floats.
+Tensor transpose_inner(const Tensor& a, int batch, int rows, int cols) {
+    Tensor out({batch, cols, rows});
+    const float* pa = a.data();
+    float* po = out.data();
+    for (int b = 0; b < batch; ++b) {
+        const float* src = pa + b * rows * cols;
+        float* dst = po + b * rows * cols;
+        for (int r = 0; r < rows; ++r) {
+            for (int col = 0; col < cols; ++col) {
+                dst[col * rows + r] = src[r * cols + col];
+            }
+        }
+    }
+    return out;
+}
+
+/// A matrix product out = A·B for the tiled kernels below. Element
+/// (i, kk) of A is a[i * a_row + kk * a_col]: a_col = 1 reads A by rows,
+/// a_row = 1 down its columns. Row kk of B starts at b + kk * b_row and
+/// row i of out at out + i * out_row.
+struct Product {
+    const float* a;
+    int a_row, a_col;
+    const float* b;
+    int b_row;
+    float* out;
+    int out_row;
+    int k;  ///< inner extent
+    int n;  ///< columns of B and out
+
+    /// The same product from row i on.
+    Product from_row(int i) const {
+        Product p = *this;
+        p.a += i * a_row;
+        p.out += i * out_row;
+        return p;
+    }
+};
+
+/// Rows [0, T) and columns [j0, j0 + L) of `pr`: each element is +0,
+/// then a(i, kk) * b(kk, j) over kk ascending. Each k step loads one
+/// segment of B row kk for the whole tile and broadcasts one A entry per
+/// row. With SkipZero a zero A entry adds its term masked to +0 instead
+/// of being skipped: the sum starts at +0 and never becomes -0, so that
+/// leaves its bits unchanged, as the skip does, and a non-finite B entry
+/// never reaches it through a zero A entry.
+template <bool SkipZero, int L, int T>
+void product_tile(const Product& pr, int j0) {
+    using Part = typename LaneVec<L>::Part;
+    LaneVec<L> acc[T];
+    unroll<T>([&](auto p) AERO_ALWAYS_INLINE { acc[p] = LaneVec<L>{}; });
+    for (int kk = 0; kk < pr.k; ++kk) {
+        const LaneVec<L> bv = load_lanes<L>(pr.b + kk * pr.b_row + j0);
+        const float* a_k = pr.a + kk * pr.a_col;
+        unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+            if constexpr (SkipZero) {
+                const Part av = splat<Part>(a_k[p * pr.a_row]);
+                const auto live = av != Part{};
+                unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
+                    const Part term = av * bv.part[i];
+                    acc[p].part[i] += live ? term : Part{};
+                });
+            } else {
+                add_product(acc[p], a_k[p * pr.a_row], bv);
+            }
+        });
+    }
+    unroll<T>([&](auto p) AERO_ALWAYS_INLINE {
+        store_row(acc[p], pr.out + p * pr.out_row + j0);
+    });
+}
+
+/// Rows [0, T) of `pr`, every column, in ascending lane blocks.
+template <bool SkipZero, int T>
+void product_row_tile(const Product& pr) {
+    for_each_lane_block(0, pr.n, [&](auto lanes, int j0) {
+        product_tile<SkipZero, decltype(lanes)::value, T>(pr, j0);
+    });
+}
+
+/// Every row of an m-row product in ascending row tiles, split over the
+/// pool in chunks of whole tiles (one chunk below kMinParallelFlops).
+/// Each element is computed by one tile whatever the chunking, so the
+/// chunks never change its bits.
+template <bool SkipZero>
+void run_product(const Product& pr, int m) {
+    const std::int64_t grain =
+        tiled_grain(m, static_cast<std::int64_t>(pr.k) * pr.n, kTile);
+    util::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
+        for_each_tile(static_cast<int>(i0), static_cast<int>(i1),
+                      [&](auto tile, int i) {
+                          product_row_tile<SkipZero, decltype(tile)::value>(
+                              pr.from_row(i));
+                      });
+    });
+}
+
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -158,25 +404,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     const int k = a.dim(1);
     const int n = b.dim(1);
     Tensor out({m, n});
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    // Row-block partitioning: each chunk owns a disjoint band of output
-    // rows and runs the full k-reduction itself, so the float summation
-    // order per element never depends on the thread count.
-    const std::int64_t grain =
-        util::grain_for(static_cast<std::int64_t>(k) * n, kMinChunkFlops);
-    util::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-            for (int kk = 0; kk < k; ++kk) {
-                const float aik = pa[i * k + kk];
-                if (aik == 0.0f) continue;
-                const float* brow = pb + kk * n;
-                float* orow = po + i * n;
-                for (int j = 0; j < n; ++j) orow[j] += aik * brow[j];
-            }
-        }
-    });
+    // Per element: +0, then a[i][kk] * b[kk][j] over kk ascending, zero
+    // entries of a skipped.
+    run_product<true>({a.data(), k, 1, b.data(), n, out.data(), n, k, n}, m);
     return out;
 }
 
@@ -186,22 +416,12 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
     const int k = a.dim(1);
     const int n = b.dim(0);
     Tensor out({m, n});
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    const std::int64_t grain =
-        util::grain_for(static_cast<std::int64_t>(k) * n, kMinChunkFlops);
-    util::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-            const float* arow = pa + i * k;
-            for (int j = 0; j < n; ++j) {
-                const float* brow = pb + j * k;
-                float acc = 0.0f;
-                for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-                po[i * n + j] = acc;
-            }
-        }
-    });
+    // Per element: +0, then a[i][kk] * b[j][kk] over kk ascending, every
+    // term added. B is transposed once so that a tile step loads one
+    // row of it.
+    const Tensor bt = transpose_inner(b, 1, n, k);
+    run_product<false>({a.data(), k, 1, bt.data(), n, out.data(), n, k, n},
+                       m);
     return out;
 }
 
@@ -211,25 +431,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     const int m = a.dim(1);
     const int n = b.dim(1);
     Tensor out({m, n});
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    // Output rows are the parallel axis (k cannot be: every kk writes
-    // all of out). Per element the kk-ascending accumulation order is
-    // the same as the serial kernel's, just grouped by row.
-    const std::int64_t grain =
-        util::grain_for(static_cast<std::int64_t>(k) * n, kMinChunkFlops);
-    util::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-            float* orow = po + i * n;
-            for (int kk = 0; kk < k; ++kk) {
-                const float aki = pa[kk * m + i];
-                if (aki == 0.0f) continue;
-                const float* brow = pb + kk * n;
-                for (int j = 0; j < n; ++j) orow[j] += aki * brow[j];
-            }
-        }
-    });
+    // matmul's step with A read down its columns: per element +0, then
+    // a[kk][i] * b[kk][j] over kk ascending, zero entries of a skipped.
+    run_product<true>({a.data(), 1, m, b.data(), n, out.data(), n, k, n}, m);
     return out;
 }
 
@@ -393,7 +597,7 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
     const int hd = d / heads;
 
     // Offset of each segment's softmax matrices in `probs`, and the
-    // widest key block, which sizes the per-chunk scores row.
+    // widest key block, which sizes the per-chunk K_h and score rows.
     std::vector<std::int64_t> prob_offset(segments.size() + 1, 0);
     int max_keys = 1;
     std::int64_t flops = 0;
@@ -426,55 +630,60 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
     util::parallel_for(
         0, units, util::grain_for(flops / units, kMinChunkFlops),
         [&](std::int64_t u0, std::int64_t u1) {
-            mem::Buffer scratch(static_cast<std::size_t>(max_keys));
+            // K_h transposed, then kTile score rows for a unit whose
+            // softmax matrix is not kept.
+            mem::Buffer scratch(static_cast<std::size_t>(max_keys) *
+                                static_cast<std::size_t>(hd + kTile));
+            float* k_t = scratch.data();
+            float* score_rows = k_t + max_keys * hd;
             for (std::int64_t u = u0; u < u1; ++u) {
                 const std::size_t s = static_cast<std::size_t>(u / heads);
                 const AttentionSegment& seg = segments[s];
                 const int lo = static_cast<int>(u % heads) * hd;
                 const int keys = seg.k_rows;
+                const float* k_h = pk + seg.k_begin * d + lo;
+                for (int j = 0; j < keys; ++j) {
+                    for (int kk = 0; kk < hd; ++kk) {
+                        k_t[kk * keys + j] = k_h[j * d + kk];
+                    }
+                }
                 float* unit_probs =
                     pp == nullptr ? nullptr
                                   : pp + prob_offset[s] +
                                         (u % heads) * seg.q_rows * keys;
-                for (int i = 0; i < seg.q_rows; ++i) {
-                    float* row = unit_probs == nullptr
-                                     ? scratch.data()
-                                     : unit_probs + i * keys;
-                    // Q_h K_hᵀ row, as matmul sums it: from zero,
-                    // kk ascending, zero entries of Q skipped.
-                    for (int j = 0; j < keys; ++j) row[j] = 0.0f;
-                    const float* qrow = pq + (seg.q_begin + i) * d + lo;
-                    for (int kk = 0; kk < hd; ++kk) {
-                        const float a = qrow[kk];
-                        if (a == 0.0f) continue;
+                const float* q_h = pq + seg.q_begin * d + lo;
+                const float* v_h = pv + seg.k_begin * d + lo;
+                float* out_h = po + seg.q_begin * d + lo;
+                for_each_tile(0, seg.q_rows, [&](auto tile, int i0) {
+                    constexpr int T = decltype(tile)::value;
+                    float* rows = unit_probs == nullptr
+                                      ? score_rows
+                                      : unit_probs + i0 * keys;
+                    // Q_h K_hᵀ rows, as matmul sums them.
+                    product_row_tile<true, T>({q_h + i0 * d, d, 1, k_t, keys,
+                                               rows, keys, hd, keys});
+                    for (int p = 0; p < T; ++p) {
+                        float* row = rows + p * keys;
                         for (int j = 0; j < keys; ++j) {
-                            row[j] += a * pk[(seg.k_begin + j) * d + lo + kk];
+                            row[j] = row[j] * score_scale;
                         }
+                        // softmax_rows: max -> exp -> sum -> scale.
+                        float max_v = row[0];
+                        for (int j = 1; j < keys; ++j) {
+                            max_v = std::max(max_v, row[j]);
+                        }
+                        float sum = 0.0f;
+                        for (int j = 0; j < keys; ++j) {
+                            row[j] = std::exp(row[j] - max_v);
+                            sum += row[j];
+                        }
+                        const float inv = 1.0f / sum;
+                        for (int j = 0; j < keys; ++j) row[j] *= inv;
                     }
-                    for (int j = 0; j < keys; ++j) {
-                        row[j] = row[j] * score_scale;
-                    }
-                    // softmax_rows: max -> exp -> sum -> scale.
-                    float max_v = row[0];
-                    for (int j = 1; j < keys; ++j) {
-                        max_v = std::max(max_v, row[j]);
-                    }
-                    float sum = 0.0f;
-                    for (int j = 0; j < keys; ++j) {
-                        row[j] = std::exp(row[j] - max_v);
-                        sum += row[j];
-                    }
-                    const float inv = 1.0f / sum;
-                    for (int j = 0; j < keys; ++j) row[j] *= inv;
-                    // P V_h row, as matmul sums it.
-                    float* orow = po + (seg.q_begin + i) * d + lo;
-                    for (int kk = 0; kk < keys; ++kk) {
-                        const float w = row[kk];
-                        if (w == 0.0f) continue;
-                        const float* vrow = pv + (seg.k_begin + kk) * d + lo;
-                        for (int j = 0; j < hd; ++j) orow[j] += w * vrow[j];
-                    }
-                }
+                    // P V_h rows, as matmul sums them.
+                    product_row_tile<true, T>({rows, keys, 1, v_h, d,
+                                               out_h + i0 * d, d, keys, hd});
+                });
             }
         });
     return out;
@@ -523,142 +732,11 @@ int conv_out_extent(int in, int kernel, const Conv2dSpec& spec) {
 }
 
 // Register-tiled channel-lane convolution (DESIGN.md §11). A lane group
-// is kLanes channels whose accumulators sit side by side. The innermost
-// step of every kernel below updates a tile of independent lane
-// accumulators, held in registers, from one shared operand load: kTile
-// output positions of one row (forward), kTile input positions of one
-// row (backward-input), or kTile input channels (backward-weight). Each
-// output element still receives exactly the direct NCHW loop's float
-// additions, in that loop's order, skipping the same taps — so the
-// results are memcmp-identical to it (tests/test_tensor.cpp keeps the
-// direct loops as the reference).
-constexpr int kLanes = 8;
-
-/// Positions (or input channels) per tile. With 8 lanes a tile is 8 SSE
-/// accumulators, which leaves registers for the shared operand.
-constexpr int kTile = 4;
-
-template <int L>
-using Lanes = std::integral_constant<int, L>;
-
-template <int T>
-using Tile = std::integral_constant<int, T>;
-
-int lane_groups(int channels) { return (channels + kLanes - 1) / kLanes; }
-
-/// A convolution with less work than this (mul-adds, whole lane groups
-/// counted) runs as one chunk on the calling thread. The tiled kernels
-/// do about 9-10 GMAC/s on one core on the UNet's 3x3 convs (7.5-9.5
-/// over its whole conv stack, BM_UNetConvStack at AERO_THREADS=1), so
-/// that is about 0.06 ms: below it a pool dispatch saves little, and on
-/// a loaded host a descheduled worker stalls the whole call (the batch-1
-/// encoder convs are thousands of such calls per fit()).
-constexpr std::int64_t kMinParallelConvFlops = 1 << 19;
-
-/// Grain for a convolution split into `units` units of `unit_flops`
-/// each: a single chunk below kMinParallelConvFlops, else the usual
-/// per-chunk floor.
-std::int64_t conv_grain(std::int64_t units, std::int64_t unit_flops) {
-    return units * unit_flops < kMinParallelConvFlops
-               ? units
-               : util::grain_for(unit_flops, kMinChunkFlops);
-}
-
-/// Calls fn(Lanes<L>{}, c) over channels [first, last) in ascending
-/// blocks: 8-wide while 8 remain, then one 4-wide block if 4 remain,
-/// then 1-wide blocks.
-template <typename Fn>
-void for_each_lane_block(int first, int last, Fn&& fn) {
-    for (; last - first >= kLanes; first += kLanes) fn(Lanes<kLanes>{}, first);
-    if (last - first >= 4) {
-        fn(Lanes<4>{}, first);
-        first += 4;
-    }
-    for (; first < last; ++first) fn(Lanes<1>{}, first);
-}
-
-/// Calls fn(Tile<T>{}, i) over [first, last) in ascending tiles: kTile
-/// wide while kTile remain, then one tile of the remainder.
-template <typename Fn>
-void for_each_tile(int first, int last, Fn&& fn) {
-    for (; last - first >= kTile; first += kTile) fn(Tile<kTile>{}, first);
-    switch (last - first) {
-        case 3: fn(Tile<3>{}, first); break;
-        case 2: fn(Tile<2>{}, first); break;
-        case 1: fn(Tile<1>{}, first); break;
-        default: break;
-    }
-}
-
-/// Forces a tile helper or lambda inline: a tile's accumulators stay in
-/// registers only while every access to them is inlined into one loop.
-#define AERO_ALWAYS_INLINE __attribute__((always_inline))
-
-/// Calls fn(std::integral_constant<int, I>{}) for I = 0 .. N-1. Tile
-/// indices are compile-time constants, so -O2 can keep a tile in
-/// registers.
-template <int N, typename Fn>
-AERO_ALWAYS_INLINE inline void unroll(Fn&& fn) {
-    [&]<int... I>(std::integer_sequence<int, I...>) AERO_ALWAYS_INLINE {
-        (fn(std::integral_constant<int, I>{}), ...);
-    }(std::make_integer_sequence<int, N>{});
-}
-
-/// Four floats in one SSE register (a GCC/Clang vector extension). Its
-/// arithmetic compiles to the same mulps/addps that -O2 vectorizes a
-/// float loop into (no FMA at the x86-64 baseline), so every product and
-/// sum rounds as the scalar loop's does. Unlike a float array tile,
-/// which -O2 keeps on the stack, a tile of these stays in registers.
-typedef float F4 __attribute__((vector_size(16)));
-
-/// L channels side by side: L / 4 vectors, or one float when L == 1.
-template <int L>
-struct LaneVec {
-    using Part = std::conditional_t<L == 1, float, F4>;
-    static constexpr int kParts = L == 1 ? 1 : L / 4;
-    Part part[kParts];
-};
-
-template <int L>
-AERO_ALWAYS_INLINE inline LaneVec<L> load_lanes(const float* p) {
-    LaneVec<L> v;
-    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
-        std::memcpy(&v.part[i], p + i * 4, sizeof v.part[i]);
-    });
-    return v;
-}
-
-/// `s` in every lane of one part of a LaneVec.
-template <typename Part>
-AERO_ALWAYS_INLINE inline Part splat(float s) {
-    if constexpr (std::is_same_v<Part, float>) {
-        return s;
-    } else {
-        return Part{s, s, s, s};
-    }
-}
-
-/// acc += s * v, lane by lane.
-template <int L>
-AERO_ALWAYS_INLINE inline void add_product(LaneVec<L>& acc, float s,
-                                           const LaneVec<L>& v) {
-    unroll<LaneVec<L>::kParts>([&](auto i) AERO_ALWAYS_INLINE {
-        acc.part[i] += s * v.part[i];
-    });
-}
-
-/// Stores lane l of `v` to base[l * stride].
-template <int L>
-AERO_ALWAYS_INLINE inline void store_lanes(const LaneVec<L>& v, float* base,
-                                           int stride) {
-    unroll<L>([&](auto l) AERO_ALWAYS_INLINE {
-        if constexpr (L == 1) {
-            base[0] = v.part[0];
-        } else {
-            base[l * stride] = v.part[l / 4][l % 4];
-        }
-    });
-}
+// is kLanes channels. The tile of each kernel below is kTile output
+// positions of one row (forward), kTile input positions of one row
+// (backward-input), or kTile input channels (backward-weight); each
+// element gets the direct NCHW loop's additions in its order, skipping
+// the same taps.
 
 /// Index i of a tile step lies inside an extent n.
 inline bool inside(int i, int n) {
@@ -697,24 +775,6 @@ AERO_ALWAYS_INLINE inline void run_tile_steps(const TileSteps& s,
             step(k, std::true_type{});
         }
     }
-}
-
-/// [batch][rows][cols] -> [batch][cols][rows]: moves a channel axis
-/// innermost so that one lane group reads contiguous floats.
-Tensor transpose_inner(const Tensor& a, int batch, int rows, int cols) {
-    Tensor out({batch, cols, rows});
-    const float* pa = a.data();
-    float* po = out.data();
-    for (int b = 0; b < batch; ++b) {
-        const float* src = pa + b * rows * cols;
-        float* dst = po + b * rows * cols;
-        for (int r = 0; r < rows; ++r) {
-            for (int col = 0; col < cols; ++col) {
-                dst[col * rows + r] = src[r * cols + col];
-            }
-        }
-    }
-    return out;
 }
 
 struct ConvGeometry {
@@ -938,7 +998,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
         static_cast<std::int64_t>(oh) * ow * c * kh * kw * kLanes;
     const std::int64_t units = static_cast<std::int64_t>(n) * groups;
     util::parallel_for(
-        0, units, conv_grain(units, unit_flops),
+        0, units, tiled_grain(units, unit_flops),
         [&](std::int64_t u0, std::int64_t u1) {
             for (std::int64_t u = u0; u < u1; ++u) {
                 const int b = static_cast<int>(u / groups);
@@ -992,7 +1052,7 @@ Tensor conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
         static_cast<std::int64_t>(oc) * oh * ow * kh * kw * kLanes;
     const std::int64_t units = static_cast<std::int64_t>(n) * groups;
     util::parallel_for(
-        0, units, conv_grain(units, unit_flops),
+        0, units, tiled_grain(units, unit_flops),
         [&](std::int64_t u0, std::int64_t u1) {
             for (std::int64_t u = u0; u < u1; ++u) {
                 const int b = static_cast<int>(u / groups);
@@ -1058,7 +1118,7 @@ Tensor conv2d_backward_weight(const Tensor& grad_out, const Tensor& input,
         static_cast<std::int64_t>(n) * oh * ow * kh * kw * kTile * kLanes;
     const std::int64_t units = static_cast<std::int64_t>(tiles) * groups;
     util::parallel_for(
-        0, units, conv_grain(units, unit_flops),
+        0, units, tiled_grain(units, unit_flops),
         [&](std::int64_t u0, std::int64_t u1) {
             for (std::int64_t u = u0; u < u1; ++u) {
                 const int ch0 = static_cast<int>(u / groups) * kTile;

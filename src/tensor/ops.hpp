@@ -50,7 +50,9 @@ Tensor sigmoid_backward(const Tensor& grad, const Tensor& output);
 
 // ---- linear algebra --------------------------------------------------------
 
-/// 2-D matrix product: [m,k] x [k,n] -> [m,n].
+/// 2-D matrix product: [m,k] x [k,n] -> [m,n]. Each element is summed
+/// from +0 over k ascending; matmul and matmul_tn skip zero entries of
+/// `a`, matmul_nt adds every term (DESIGN.md §11, "matmul tiles").
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// a @ b^T: [m,k] x [n,k] -> [m,n].
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
@@ -94,8 +96,10 @@ struct AttentionSegment {
 /// compute it on the per-head slices (kk-ascending sums from zero,
 /// zero-skips, max -> exp -> sum -> scale), so a one-segment call equals
 /// that per-head graph bit for bit. (segment, head) units run in one
-/// parallel_for. When `probs` is non-null it receives every unit's
-/// softmax matrix, segment-major then head, for attention_backward.
+/// parallel_for, so segments must not share query rows. Both products
+/// run the register-tiled matmul step (DESIGN.md §11). When `probs` is
+/// non-null it receives every unit's softmax matrix, segment-major then
+/// head, for attention_backward.
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  const std::vector<AttentionSegment>& segments, int heads,
                  float score_scale, Tensor* probs = nullptr);

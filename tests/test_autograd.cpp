@@ -13,6 +13,7 @@
 #include "autograd/var.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -491,6 +492,52 @@ TEST(Autograd, DiamondGraphGradient) {
     const Var sq = ag::mul(x, x);
     ag::sum_all(ag::add(sq, sq)).backward();
     EXPECT_NEAR(x.grad()[0], 12.0f, 1e-5f);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<std::size_t>(a.size())) ==
+               0;
+}
+
+/// Pool dispatches (one per kernel call) made by `y.backward()`.
+long long backward_kernel_calls(const Var& y) {
+    const auto& pool = aero::util::ThreadPool::instance();
+    const long long before = pool.stats().tasks;
+    y.backward();
+    return pool.stats().tasks - before;
+}
+
+TEST(MatmulBackward, ComputesOnlyTheProductsThatAreNeeded) {
+    // backward() seeds y with ones; the gradient of each operand that
+    // requires one is the same kernel's product as before, bit for bit,
+    // and an operand that requires none costs no kernel call.
+    aero::util::Rng rng(31);
+    const Tensor a = Tensor::randn({6, 5}, rng);
+    const Tensor b = Tensor::randn({5, 7}, rng);
+    const Tensor ones = Tensor::ones({6, 7});
+    const Tensor grad_a = aero::tensor::matmul_nt(ones, b);
+    const Tensor grad_b = aero::tensor::matmul_tn(a, ones);
+    {
+        const Var x = Var::constant(a);
+        const Var w = Var::param(b);
+        EXPECT_EQ(backward_kernel_calls(ag::matmul(x, w)), 1);
+        EXPECT_TRUE(same_bits(w.grad(), grad_b));
+    }
+    {
+        const Var x = Var::param(a);
+        const Var w = Var::constant(b);
+        EXPECT_EQ(backward_kernel_calls(ag::matmul(x, w)), 1);
+        EXPECT_TRUE(same_bits(x.grad(), grad_a));
+    }
+    {
+        const Var x = Var::param(a);
+        const Var w = Var::param(b);
+        EXPECT_EQ(backward_kernel_calls(ag::matmul(x, w)), 2);
+        EXPECT_TRUE(same_bits(x.grad(), grad_a));
+        EXPECT_TRUE(same_bits(w.grad(), grad_b));
+    }
 }
 
 }  // namespace

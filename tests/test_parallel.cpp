@@ -73,17 +73,24 @@ long long chunks_per_call(Fn compute) {
 }
 
 TEST(Determinism, Matmul) {
+    // 101 rows end in a 1-row tile and 83 columns in three 1-wide lane
+    // blocks. At 101 x 96 x 83 (about 805k mul-adds) every product is
+    // above the size a product needs to be split at all (checked below);
+    // chunks hold whole row tiles.
     aero::util::Rng rng(11);
-    const Tensor a = Tensor::randn({64, 96}, rng);
-    const Tensor b = Tensor::randn({96, 80}, rng);
-    expect_thread_count_invariant("matmul",
-                                  [&] { return ops::matmul(a, b); });
-    expect_thread_count_invariant("matmul_nt", [&] {
-        return ops::matmul_nt(a, ops::transpose2d(b));
-    });
-    expect_thread_count_invariant("matmul_tn", [&] {
-        return ops::matmul_tn(ops::transpose2d(a), b);
-    });
+    const Tensor a = Tensor::randn({101, 96}, rng);
+    const Tensor b = Tensor::randn({96, 83}, rng);
+    const Tensor bt = ops::transpose2d(b);
+    const Tensor at = ops::transpose2d(a);
+    const auto product = [&] { return ops::matmul(a, b); };
+    const auto product_nt = [&] { return ops::matmul_nt(a, bt); };
+    const auto product_tn = [&] { return ops::matmul_tn(at, b); };
+    EXPECT_GT(chunks_per_call(product), 1);
+    EXPECT_GT(chunks_per_call(product_nt), 1);
+    EXPECT_GT(chunks_per_call(product_tn), 1);
+    expect_thread_count_invariant("matmul", product);
+    expect_thread_count_invariant("matmul_nt", product_nt);
+    expect_thread_count_invariant("matmul_tn", product_tn);
 }
 
 TEST(Determinism, ElementwiseAndReductions) {

@@ -613,6 +613,301 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulShapes,
                                            std::make_tuple(8, 8, 8),
                                            std::make_tuple(1, 16, 2)));
 
+// The tiled matrix products and attention are checked against the
+// direct loops they replace, with memcmp: each output element must get
+// the same additions in the same order (from +0, kk ascending, zero A
+// entries skipped by matmul, matmul_tn and attention, every term added
+// by matmul_nt).
+
+Tensor reference_matmul(const Tensor& a, const Tensor& b) {
+    const int m = a.dim(0);
+    const int k = a.dim(1);
+    const int n = b.dim(1);
+    Tensor out({m, n});
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    for (int i = 0; i < m; ++i) {
+        for (int kk = 0; kk < k; ++kk) {
+            const float aik = pa[i * k + kk];
+            if (aik == 0.0f) continue;
+            const float* brow = pb + kk * n;
+            float* orow = po + i * n;
+            for (int j = 0; j < n; ++j) orow[j] += aik * brow[j];
+        }
+    }
+    return out;
+}
+
+Tensor reference_matmul_nt(const Tensor& a, const Tensor& b) {
+    const int m = a.dim(0);
+    const int k = a.dim(1);
+    const int n = b.dim(0);
+    Tensor out({m, n});
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    for (int i = 0; i < m; ++i) {
+        const float* arow = pa + i * k;
+        for (int j = 0; j < n; ++j) {
+            const float* brow = pb + j * k;
+            float acc = 0.0f;
+            for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+            po[i * n + j] = acc;
+        }
+    }
+    return out;
+}
+
+Tensor reference_matmul_tn(const Tensor& a, const Tensor& b) {
+    const int k = a.dim(0);
+    const int m = a.dim(1);
+    const int n = b.dim(1);
+    Tensor out({m, n});
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    for (int i = 0; i < m; ++i) {
+        float* orow = po + i * n;
+        for (int kk = 0; kk < k; ++kk) {
+            const float aki = pa[kk * m + i];
+            if (aki == 0.0f) continue;
+            const float* brow = pb + kk * n;
+            for (int j = 0; j < n; ++j) orow[j] += aki * brow[j];
+        }
+    }
+    return out;
+}
+
+/// Bitwise equal, except that a NaN need only be a NaN in both: where two
+/// NaN operands meet, which payload survives depends on the operand
+/// order the compiler picked for the reference loop, not on the source.
+bool equal_up_to_nan_payload(const Tensor& a, const Tensor& b) {
+    if (!a.same_shape(b)) return false;
+    for (int i = 0; i < a.size(); ++i) {
+        if (std::isnan(a[i]) || std::isnan(b[i])) {
+            if (std::isnan(a[i]) != std::isnan(b[i])) return false;
+        } else if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) !=
+                   0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// Random [rows, cols] entries, each replaced with probability `share`
+/// by the next of `specials`.
+Tensor matmul_operand(int rows, int cols, aero::util::Rng& rng,
+                      const std::vector<float>& specials, double share) {
+    Tensor t = Tensor::randn({rows, cols}, rng);
+    std::size_t next = 0;
+    for (int i = 0; i < t.size() && !specials.empty(); ++i) {
+        if (rng.bernoulli(share)) t[i] = specials[next++ % specials.size()];
+    }
+    return t;
+}
+
+/// All three products of an m×k by k×n problem against their references.
+/// NaN-bearing problems compare NaN positions only (see above).
+void expect_products_match(int m, int k, int n, aero::util::Rng& rng,
+                           const std::vector<float>& specials, double share,
+                           bool nan_positions_only) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    const auto same = [&](const Tensor& x, const Tensor& y) {
+        return nan_positions_only ? equal_up_to_nan_payload(x, y)
+                                  : bitwise_equal(x, y);
+    };
+    const Tensor a = matmul_operand(m, k, rng, specials, share);
+    const Tensor b = matmul_operand(k, n, rng, specials, share);
+    const Tensor bt = matmul_operand(n, k, rng, specials, share);
+    const Tensor at = matmul_operand(k, m, rng, specials, share);
+    EXPECT_TRUE(same(ops::matmul(a, b), reference_matmul(a, b))) << "matmul";
+    EXPECT_TRUE(same(ops::matmul_nt(a, bt), reference_matmul_nt(a, bt)))
+        << "matmul_nt";
+    EXPECT_TRUE(same(ops::matmul_tn(at, b), reference_matmul_tn(at, b)))
+        << "matmul_tn";
+}
+
+/// Extents that leave every row-tile remainder (tiles of 4 rows), every
+/// 8/4/1 lane block of the columns, and short and long k loops.
+std::vector<int> tile_rows() {
+    std::vector<int> rows;
+    for (int m = 1; m <= 13; ++m) rows.push_back(m);
+    rows.push_back(29);
+    rows.push_back(64);
+    return rows;
+}
+
+std::vector<int> lane_columns() {
+    std::vector<int> cols;
+    for (int n = 1; n <= 19; ++n) cols.push_back(n);
+    cols.push_back(64);
+    return cols;
+}
+
+std::vector<int> inner_extents() {
+    std::vector<int> ks;
+    for (int k = 1; k <= 9; ++k) ks.push_back(k);
+    ks.push_back(64);
+    return ks;
+}
+
+TEST(MatmulReference, EveryTileAndLaneRemainder) {
+    // Without zeros, with a few (most row tiles of one product have
+    // none, some have one) and with many (signed zeros skipped in every
+    // tile position by matmul and matmul_tn, and added by matmul_nt).
+    aero::util::Rng rng(31);
+    for (const int m : tile_rows()) {
+        for (const int n : lane_columns()) {
+            for (const int k : inner_extents()) {
+                for (const double share : {0.0, 0.01, 0.33}) {
+                    expect_products_match(m, k, n, rng, {0.0f, -0.0f}, share,
+                                          false);
+                }
+            }
+        }
+    }
+}
+
+TEST(MatmulReference, ZerosAndInfinitiesKeepEveryBit) {
+    // A zero A entry next to an infinite B entry: matmul and matmul_tn
+    // skip the term, while matmul_nt adds 0 * inf = NaN. inf - inf makes
+    // NaN as well. Only generated NaNs occur, and x86 generates one
+    // default NaN, so every bit is compared.
+    const float inf = std::numeric_limits<float>::infinity();
+    aero::util::Rng rng(37);
+    for (const int m : tile_rows()) {
+        for (const int n : lane_columns()) {
+            for (const int k : inner_extents()) {
+                expect_products_match(m, k, n, rng, {0.0f, -0.0f, inf, -inf},
+                                      0.33, false);
+            }
+        }
+    }
+}
+
+TEST(MatmulReference, NanEntriesKeepTheirPositions) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    aero::util::Rng rng(41);
+    for (const int m : {1, 4, 7, 13, 29}) {
+        for (const int n : {1, 5, 8, 12, 19}) {
+            for (const int k : {1, 3, 9, 64}) {
+                expect_products_match(m, k, n, rng,
+                                      {0.0f, nan, -0.0f, inf, -nan}, 0.33,
+                                      true);
+            }
+        }
+    }
+}
+
+/// The direct attention loop: per (segment, head) and query row, the
+/// Q_h K_hᵀ row from +0 with zero Q entries skipped, scaled, softmaxed,
+/// then the P V_h row with zero P entries skipped.
+Tensor reference_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                           const std::vector<ops::AttentionSegment>& segments,
+                           int heads, float score_scale, Tensor* probs) {
+    const int d = q.dim(1);
+    const int hd = d / heads;
+    Tensor out({q.dim(0), d});
+    std::vector<float> all_probs;
+    for (const ops::AttentionSegment& seg : segments) {
+        for (int h = 0; h < heads; ++h) {
+            const int lo = h * hd;
+            const int keys = seg.k_rows;
+            for (int i = 0; i < seg.q_rows; ++i) {
+                std::vector<float> row(static_cast<std::size_t>(keys), 0.0f);
+                const float* qrow = q.data() + (seg.q_begin + i) * d + lo;
+                for (int kk = 0; kk < hd; ++kk) {
+                    const float a = qrow[kk];
+                    if (a == 0.0f) continue;
+                    for (int j = 0; j < keys; ++j) {
+                        row[j] += a * k[(seg.k_begin + j) * d + lo + kk];
+                    }
+                }
+                for (int j = 0; j < keys; ++j) row[j] = row[j] * score_scale;
+                float max_v = row[0];
+                for (int j = 1; j < keys; ++j) max_v = std::max(max_v, row[j]);
+                float sum = 0.0f;
+                for (int j = 0; j < keys; ++j) {
+                    row[j] = std::exp(row[j] - max_v);
+                    sum += row[j];
+                }
+                const float inv = 1.0f / sum;
+                for (int j = 0; j < keys; ++j) row[j] *= inv;
+                float* orow = out.data() + (seg.q_begin + i) * d + lo;
+                for (int kk = 0; kk < keys; ++kk) {
+                    const float w = row[kk];
+                    if (w == 0.0f) continue;
+                    const float* vrow = v.data() + (seg.k_begin + kk) * d + lo;
+                    for (int j = 0; j < hd; ++j) orow[j] += w * vrow[j];
+                }
+                all_probs.insert(all_probs.end(), row.begin(), row.end());
+            }
+        }
+    }
+    *probs = Tensor({static_cast<int>(std::max<std::size_t>(1, all_probs.size()))});
+    for (std::size_t i = 0; i < all_probs.size(); ++i) {
+        (*probs)[static_cast<int>(i)] = all_probs[i];
+    }
+    return out;
+}
+
+TEST(AttentionReference, RaggedSegmentsEveryHeadCount) {
+    // Query blocks of 1-13 rows (every row-tile remainder) over key
+    // blocks of 1-17 rows (every lane block of the score rows), some
+    // query rows left outside every segment. Every fifth Q entry is a
+    // signed zero, and query rows scaled by 300 drive some softmax
+    // entries to exactly 0, so both products skip terms. Column 1 of K
+    // is +inf where Q's column 1 is zero, and one V row is -inf: a
+    // kernel that multiplied a skipped zero through would make NaN.
+    const float inf = std::numeric_limits<float>::infinity();
+    aero::util::Rng rng(43);
+    for (const int heads : {1, 2, 4}) {
+        for (const int first_keys : {1, 5, 9}) {
+            SCOPED_TRACE("heads " + std::to_string(heads) + " keys from " +
+                         std::to_string(first_keys));
+            const int d = 16;
+            std::vector<ops::AttentionSegment> segments;
+            int q_rows = 0;
+            int k_rows = 0;
+            for (int s = 0; s < 9; ++s) {
+                const int rows = 1 + (s * 5 + first_keys) % 13;
+                const int keys = first_keys + s;  // up to 17
+                segments.push_back({q_rows, rows, k_rows, keys});
+                q_rows += rows + (s % 3 == 0 ? 1 : 0);
+                k_rows += keys;
+            }
+            Tensor q = Tensor::randn({q_rows, d}, rng);
+            Tensor k = Tensor::randn({k_rows, d}, rng);
+            Tensor v = Tensor::randn({k_rows, d}, rng);
+            for (int i = 0; i < q.size(); i += 5) {
+                q[i] = (i / 5) % 2 == 0 ? 0.0f : -0.0f;
+            }
+            for (int r = 0; r < q_rows; ++r) {
+                q[r * d + 1] = 0.0f;
+                if (r % 4 == 1) {
+                    for (int c = 0; c < d; ++c) q[r * d + c] *= 300.0f;
+                }
+            }
+            for (int r = 0; r < k_rows; ++r) k[r * d + 1] = inf;
+            for (int c = 0; c < d; ++c) v[(k_rows / 2) * d + c] = -inf;
+            Tensor probs;
+            Tensor ref_probs;
+            const Tensor out =
+                ops::attention(q, k, v, segments, heads, 0.35f, &probs);
+            const Tensor ref = reference_attention(q, k, v, segments, heads,
+                                                   0.35f, &ref_probs);
+            EXPECT_TRUE(bitwise_equal(out, ref));
+            EXPECT_TRUE(bitwise_equal(probs, ref_probs));
+            EXPECT_TRUE(bitwise_equal(
+                ops::attention(q, k, v, segments, heads, 0.35f), ref))
+                << "without kept probabilities";
+        }
+    }
+}
+
 TEST(Ops, AddRowBias) {
     const Tensor a = Tensor::zeros({2, 3});
     const Tensor bias = Tensor::from_values({1, 2, 3});
